@@ -211,28 +211,10 @@ std::string header_line(const std::vector<Scenario>& points,
   return out.str();
 }
 
-/// A shard file opens with its own header — deliberately a different
-/// record shape, so shard files and final artifacts can never be taken
-/// for one another — carrying the same grid fingerprint plus the shard's
-/// identity and global cell range.
-std::string shard_header_line(const std::vector<Scenario>& points,
-                              const std::vector<ConfigSpec>& configs,
-                              const ShardSpec& shard, std::size_t begin,
-                              std::size_t end) {
-  std::ostringstream out;
-  out << "{\"coredis_campaign_shard\":1,\"fingerprint\":\""
-      << fingerprint_hex(points, configs) << "\",\"shard\":" << shard.index
-      << ",\"workers\":" << shard.count << ",\"begin\":" << begin
-      << ",\"end\":" << end << ",\"cells\":" << total_cells(points) << ",";
-  append_config_names(out, configs);
-  return out.str();
-}
-
-/// A dynamically-dealt shard file's header: a third record shape (so
-/// deal shards, static shards and final artifacts can never be taken
-/// for one another), carrying the grid fingerprint and the worker's
-/// identity but — unlike the static shard header — no cell range: the
-/// worker's cells are whatever blocks the coordinator dealt it.
+/// A shard file's header: deliberately a different record shape from the
+/// final artifact's, so neither can be taken for the other, carrying the
+/// grid fingerprint and the worker's identity but no cell range — a
+/// worker's cells are whatever blocks it ran.
 std::string deal_header_line(const std::vector<Scenario>& points,
                              const std::vector<ConfigSpec>& configs,
                              std::size_t worker, std::size_t workers) {
@@ -407,33 +389,34 @@ std::vector<PointResult> point_frames(const std::vector<Scenario>& points,
 }
 
 struct JsonlScan {
-  std::size_t cells_present = 0;   ///< valid records (always a prefix)
+  std::size_t cells_present = 0;   ///< valid records (duplicates count)
   std::uintmax_t valid_bytes = 0;  ///< header + accepted records, with '\n'
-  bool dropped_tail = false;       ///< a torn/corrupt trailing record existed
+  bool dropped_tail = false;       ///< a torn trailing record existed
 };
 
-/// Called once per valid record, in cell order, with the global cell
-/// index, the raw line (without '\n') and the parsed cell.
-using CellScanSink =
-    std::function<void(std::size_t, const std::string&, ParsedCell&&)>;
+/// Called once per valid record with the parsed cell, the byte offset of
+/// its line in the file and the raw line (without '\n').
+using RecordSink =
+    std::function<void(ParsedCell&&, std::uintmax_t, const std::string&)>;
 
-/// Scan the `count` records of global cells [first, first + count) that
-/// `path` should hold under `header`. Streamed line by line: the scan
-/// holds one line at a time and hands each valid record to `on_cell`, so
-/// resume/summarize/merge run in O(1) memory per record.
+/// The one line loop behind resume, summarize and merge: validate the
+/// header of `path`, then hand every valid record to `on_record`.
+/// Streamed line by line, so the scan holds one line at a time. After a
+/// successful getline, eof() set means the line had no trailing '\n' — a
+/// record torn mid-write, always dropped as the tail.
+///
+/// `in_order` selects the file's contract. The single-process artifact
+/// (true) holds global cells 0, 1, 2, ... in order and nothing beyond the
+/// grid; a corrupt last line is dropped even when newline-terminated (the
+/// resume contract of DESIGN.md section 7.3). A shard file (false) holds
+/// any cells in completion order, duplicates allowed, and only crashes
+/// tear lines — so a complete invalid line anywhere is corruption.
 JsonlScan scan_jsonl(const std::string& path, const std::string& header,
-                     const CellQueue& layout, std::size_t first,
-                     std::size_t count,
-                     const std::vector<ConfigSpec>& configs,
-                     const CellScanSink& on_cell) {
-  // After a successful getline, eof() set means the line had no trailing
-  // '\n' — a record torn mid-write.
+                     const CellQueue& layout,
+                     const std::vector<ConfigSpec>& configs, bool in_order,
+                     const RecordSink& on_record) {
   std::ifstream file(path, std::ios::binary);
-  if (!file)
-    throw std::runtime_error("cannot open campaign results: " + path);
-  const auto more_content = [&file] {
-    return file.peek() != std::ifstream::traits_type::eof();
-  };
+  if (!file) throw std::runtime_error("cannot open campaign results: " + path);
 
   JsonlScan scan;
   std::string line;
@@ -444,106 +427,68 @@ JsonlScan scan_jsonl(const std::string& path, const std::string& header,
   }
   if (line != header)
     throw std::runtime_error(
-        "campaign results file does not match this campaign "
-        "(header/fingerprint mismatch): " +
-        path);
-  scan.valid_bytes = line.size() + 1;
-
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t k = first + i;
-    if (!std::getline(file, line)) break;
-    if (file.eof()) {
-      scan.dropped_tail = true;
-      break;
-    }
-    ParsedCell cell;
-    const CellRef ref = layout.at(k);
-    const bool valid = parse_cell_line(line, configs, cell) &&
-                       cell.cell == k && cell.point == ref.point &&
-                       cell.rep == ref.rep;
-    if (!valid) {
-      // A broken record is tolerated only as the very last line (a write
-      // cut short by the interrupt); the in-order committer cannot produce
-      // valid data after a bad record.
-      if (more_content())
-        throw std::runtime_error("corrupt campaign record mid-file: " + path);
-      scan.dropped_tail = true;
-      break;
-    }
-    if (on_cell) on_cell(k, line, std::move(cell));
-    ++scan.cells_present;
-    scan.valid_bytes += line.size() + 1;
-  }
-  if (scan.cells_present == count && more_content())
-    throw std::runtime_error("trailing data beyond the campaign grid: " +
-                             path);
-  return scan;
-}
-
-/// Called per valid deal-shard record with the global cell index, the
-/// byte offset of the line in the file and its length (without '\n').
-using DealScanSink =
-    std::function<void(std::size_t, std::uintmax_t, std::size_t)>;
-
-/// Scan a deal-mode shard file: records carry global cell indices in
-/// *completion* order — any cells, any order, duplicates allowed (a
-/// re-dealt block) — so unlike scan_jsonl there is no expected span,
-/// only per-record validation against the grid layout. A torn or
-/// corrupt line is tolerated as the very last line (the write the
-/// crash cut short); anywhere else it is a hard error.
-JsonlScan scan_deal_jsonl(const std::string& path, const std::string& header,
-                          const CellQueue& layout,
-                          const std::vector<ConfigSpec>& configs,
-                          const DealScanSink& on_record) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file)
-    throw std::runtime_error("cannot open deal shard: " + path);
-  const auto more_content = [&file] {
-    return file.peek() != std::ifstream::traits_type::eof();
-  };
-
-  JsonlScan scan;
-  std::string line;
-  if (!std::getline(file, line)) return scan;  // empty file: fresh start
-  if (file.eof()) {                            // torn header: rewrite it
-    scan.dropped_tail = true;
-    return scan;
-  }
-  if (line != header)
-    throw std::runtime_error(
-        "deal shard file does not match this campaign "
-        "(header/fingerprint mismatch): " +
+        "file does not match this campaign (header/fingerprint mismatch): " +
         path);
   scan.valid_bytes = line.size() + 1;
 
   while (std::getline(file, line)) {
+    if (in_order && scan.cells_present == layout.size())
+      throw std::runtime_error("trailing data beyond the campaign grid: " +
+                               path);
     if (file.eof()) {
       scan.dropped_tail = true;
       break;
     }
     ParsedCell cell;
-    const bool valid = parse_cell_line(line, configs, cell) &&
-                       cell.cell < layout.size() &&
-                       cell.point == layout.at(cell.cell).point &&
-                       cell.rep == layout.at(cell.cell).rep;
+    const bool valid =
+        parse_cell_line(line, configs, cell) && cell.cell < layout.size() &&
+        (!in_order || cell.cell == scan.cells_present) &&
+        cell.point == layout.at(cell.cell).point &&
+        cell.rep == layout.at(cell.cell).rep;
     if (!valid) {
-      if (more_content())
-        throw std::runtime_error("corrupt deal shard record mid-file: " +
-                                 path);
+      if (!in_order ||
+          file.peek() != std::ifstream::traits_type::eof())
+        throw std::runtime_error("corrupt campaign record on line " +
+                                 std::to_string(scan.cells_present + 2) +
+                                 ": " + path);
       scan.dropped_tail = true;
       break;
     }
-    if (on_record) on_record(cell.cell, scan.valid_bytes, line.size());
+    if (on_record) on_record(std::move(cell), scan.valid_bytes, line);
     ++scan.cells_present;
     scan.valid_bytes += line.size() + 1;
   }
   return scan;
 }
 
-/// Execution core shared by run_grid, run_shard and DealWorker: compute
-/// global cells [first, first + count), appending each record to `sink`
-/// (null: in-memory only) and retiring cells in index order through
-/// `fold`. Cost-guided LPT feed (DESIGN.md section 12.1): with
+/// Open `path` for appending records under `header`. With resume and an
+/// existing file, `adopt` scans its valid prefix first and the torn tail
+/// is cut, so appends continue a clean prefix; otherwise (or when not
+/// even the header survived) the file starts over with the header.
+JsonlScan open_record_sink(std::ofstream& sink, const std::string& path,
+                           const std::string& header, bool resume,
+                           const std::function<JsonlScan()>& adopt) {
+  namespace fs = std::filesystem;
+  JsonlScan scan;
+  if (resume && fs::exists(path)) {
+    scan = adopt();
+    if (fs::file_size(path) > scan.valid_bytes)
+      fs::resize_file(path, scan.valid_bytes);
+  }
+  sink.open(path, scan.valid_bytes > 0 ? std::ios::binary | std::ios::app
+                                       : std::ios::binary | std::ios::trunc);
+  if (!sink) throw std::runtime_error("cannot write " + path);
+  if (scan.valid_bytes == 0) {
+    sink << header << '\n';
+    sink.flush();
+  }
+  return scan;
+}
+
+/// Execution core shared by run_grid and DealWorker: compute global
+/// cells [first, first + count), appending each record to `sink` (null:
+/// in-memory only) and retiring cells in index order through `fold`.
+/// Cost-guided LPT feed (DESIGN.md section 12.1): with
 /// CellOrder::CostLpt the worker pool receives the predicted-longest
 /// remaining cells first and every completed cell's wall-clock is timed
 /// back into the model. The permutation only decides who computes what
@@ -596,61 +541,6 @@ void execute_span(const std::vector<Scenario>& points,
         parallel);
   }
   COREDIS_EXPECTS(committer.drained());
-}
-
-/// Shared core of run_grid and run_shard: execute global cells
-/// [first, first + count) of the flattened grid, streaming records to
-/// `path` (under `header`; empty path keeps results in memory) and
-/// retiring each cell in order through `fold`. With resume, the file's
-/// valid prefix is adopted (folded, not recomputed) and the torn tail
-/// dropped, exactly as before the storage layer existed.
-void run_cell_span(const std::vector<Scenario>& points,
-                   const std::vector<ConfigSpec>& configs,
-                   const CellQueue& queue, std::size_t first,
-                   std::size_t count, const std::string& header,
-                   const std::string& path, const GridRunOptions& options,
-                   const OrderedCommitter::Fold& fold) {
-  std::size_t done = 0;
-  std::ofstream sink;
-  if (!path.empty()) {
-    namespace fs = std::filesystem;
-    if (options.resume && fs::exists(path)) {
-      const JsonlScan scan = scan_jsonl(
-          path, header, queue, first, count, configs,
-          [&fold](std::size_t k, const std::string&, ParsedCell&& cell) {
-            if (fold) fold(k, cell.result);
-          });
-      done = scan.cells_present;
-      // Drop the torn tail so the append below continues a clean prefix.
-      if (fs::file_size(path) > scan.valid_bytes)
-        fs::resize_file(path, scan.valid_bytes);
-      sink.open(path, std::ios::binary | std::ios::app);
-      if (!sink) throw std::runtime_error("cannot write " + path);
-      if (scan.valid_bytes == 0) {
-        sink << header << '\n';
-        sink.flush();
-      }
-    } else {
-      sink.open(path, std::ios::binary | std::ios::trunc);
-      if (!sink) throw std::runtime_error("cannot write " + path);
-      sink << header << '\n';
-      sink.flush();
-    }
-  }
-
-  execute_span(points, configs, queue, first + done, count - done,
-               sink.is_open() ? &sink : nullptr, options, fold);
-  if (sink.is_open() && !sink)
-    throw std::runtime_error("failed writing " + path);
-}
-
-std::vector<Scenario> materialize(const Campaign& campaign) {
-  std::vector<Scenario> points;
-  const std::size_t total = campaign.grid.points();
-  points.reserve(total);
-  for (std::size_t i = 0; i < total; ++i)
-    points.push_back(campaign.grid.point(i));
-  return points;
 }
 
 }  // namespace
@@ -833,15 +723,31 @@ std::vector<PointResult> run_grid(const std::vector<Scenario>& points,
       [&aggregated, &queue](std::size_t k, const CellResult& result) {
         fold_cell(aggregated[queue->at(k).point], result);
       };
-  run_cell_span(points, configs, *queue, 0, queue->size(),
-                header_line(points, configs), options.jsonl_path, options,
-                fold);
+  // With resume, the file's valid prefix is adopted (folded, not
+  // recomputed) and only the cells after it run.
+  std::size_t done = 0;
+  std::ofstream sink;
+  const std::string& path = options.jsonl_path;
+  if (!path.empty()) {
+    const std::string header = header_line(points, configs);
+    done = open_record_sink(sink, path, header, options.resume, [&] {
+             return scan_jsonl(path, header, *queue, configs, true,
+                               [&fold](ParsedCell&& cell, std::uintmax_t,
+                                       const std::string&) {
+                                 fold(cell.cell, cell.result);
+                               });
+           }).cells_present;
+  }
+  execute_span(points, configs, *queue, done, queue->size() - done,
+               sink.is_open() ? &sink : nullptr, options, fold);
+  if (sink.is_open() && !sink)
+    throw std::runtime_error("failed writing " + path);
   return aggregated;
 }
 
 std::vector<PointResult> run_campaign(const Campaign& campaign,
                                       const GridRunOptions& options) {
-  return run_grid(materialize(campaign), campaign.configs, options);
+  return run_grid(campaign_points(campaign), campaign.configs, options);
 }
 
 // --- the shard fabric -----------------------------------------------------
@@ -880,100 +786,13 @@ std::string shard_path(const std::string& jsonl_path, const ShardSpec& shard) {
   return path.string();
 }
 
-void run_shard(const std::vector<Scenario>& points,
-               const std::vector<ConfigSpec>& configs, const ShardSpec& shard,
-               const GridRunOptions& options) {
-  if (options.jsonl_path.empty())
-    throw std::runtime_error(
-        "shard runs need a JSONL output path to derive their shard file");
-  const std::unique_ptr<CellQueue> queue = make_cell_queue(
-      options.storage, runs_per_point(points), options.storage_dir);
-  const auto [begin, end] = shard_range(queue->size(), shard);
-  run_cell_span(points, configs, *queue, begin, end - begin,
-                shard_header_line(points, configs, shard, begin, end),
-                shard_path(options.jsonl_path, shard), options, {});
-}
-
-void merge_shards(const std::vector<Scenario>& points,
-                  const std::vector<ConfigSpec>& configs, std::size_t workers,
-                  const std::string& jsonl_path) {
-  namespace fs = std::filesystem;
-  if (workers == 0)
-    throw std::runtime_error("merge needs at least one shard");
-  const std::unique_ptr<CellQueue> queue =
-      make_cell_queue(StorageKind::Ram, runs_per_point(points));
-  // Crash-atomic publication (DESIGN.md section 7.4): the merged artifact
-  // is final — unlike shard files it has no resume story — so it is
-  // assembled in a temp sibling and renamed over jsonl_path only after a
-  // flush + fsync. A crash (even kill -9) mid-merge leaves the final
-  // name untouched: either absent or carrying the previous complete
-  // bytes, never a truncated file that would trip the overwrite-refusal
-  // path on retry. The fixed temp name is self-cleaning — the next merge
-  // truncates the same sibling.
-  const std::string temp_path = atomic_temp_path(jsonl_path);
-  std::ofstream out(temp_path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + temp_path);
-  try {
-    // The single-process header, then every shard's record lines verbatim
-    // in global cell order: the merged bytes are the uninterrupted
-    // single-process artifact by construction.
-    out << header_line(points, configs) << '\n';
-    for (std::size_t k = 0; k < workers; ++k) {
-      const ShardSpec shard{k, workers};
-      const auto [begin, end] = shard_range(queue->size(), shard);
-      const std::string path = shard_path(jsonl_path, shard);
-      const std::string spec =
-          std::to_string(k) + "/" + std::to_string(workers);
-      if (!fs::exists(path))
-        throw std::runtime_error("missing shard file " + path +
-                                 ": run shard " + spec + " with --worker " +
-                                 spec + " before merging");
-      if (detect_shard_mode(path) == ShardMode::Deal)
-        throw std::runtime_error(
-            "shard file " + path +
-            " carries a deal-mode header (dynamic dealing), not a static "
-            "contiguous shard: merge it with the deal merge (the CLI "
-            "auto-detects the mode from shard 0)");
-      const JsonlScan scan = scan_jsonl(
-          path, shard_header_line(points, configs, shard, begin, end), *queue,
-          begin, end - begin, configs,
-          [&out](std::size_t, const std::string& line, ParsedCell&&) {
-            out << line << '\n';
-          });
-      if (scan.cells_present != end - begin)
-        throw std::runtime_error(
-            "shard file " + path + " is incomplete (" +
-            std::to_string(scan.cells_present) + " of " +
-            std::to_string(end - begin) + " cells" +
-            (scan.dropped_tail ? ", torn tail" : "") +
-            "): resume it with --worker " + spec + " --resume, then merge");
-    }
-    out.flush();
-    if (!out) throw std::runtime_error("failed writing " + temp_path);
-    out.close();
-    commit_file(temp_path, jsonl_path);
-  } catch (...) {
-    // Never leave a half-merged temp behind a loud refusal; the final
-    // path was not touched.
-    out.close();
-    std::error_code ignored;
-    fs::remove(temp_path, ignored);
-    throw;
-  }
-}
-
-void run_campaign_shard(const Campaign& campaign, const ShardSpec& shard,
-                        const GridRunOptions& options) {
-  run_shard(materialize(campaign), campaign.configs, shard, options);
-}
-
-void merge_campaign_shards(const Campaign& campaign, std::size_t workers,
-                           const std::string& jsonl_path) {
-  merge_shards(materialize(campaign), campaign.configs, workers, jsonl_path);
-}
-
 std::vector<Scenario> campaign_points(const Campaign& campaign) {
-  return materialize(campaign);
+  std::vector<Scenario> points;
+  const std::size_t total = campaign.grid.points();
+  points.reserve(total);
+  for (std::size_t i = 0; i < total; ++i)
+    points.push_back(campaign.grid.point(i));
+  return points;
 }
 
 // --- dynamic dealing ------------------------------------------------------
@@ -1024,25 +843,6 @@ std::vector<DealBlock> plan_deal_blocks(const CostModel& model,
   return lpt;
 }
 
-const char* to_string(ShardMode mode) {
-  return mode == ShardMode::Deal ? "deal" : "static";
-}
-
-ShardMode detect_shard_mode(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw std::runtime_error("cannot open shard file: " + path);
-  std::string line;
-  std::getline(file, line);
-  if (line.rfind("{\"coredis_campaign_shard\":", 0) == 0)
-    return ShardMode::Static;
-  if (line.rfind("{\"coredis_campaign_deal\":", 0) == 0)
-    return ShardMode::Deal;
-  throw std::runtime_error(
-      "not a campaign shard file (neither a static-shard nor a deal-mode "
-      "header): " +
-      path);
-}
-
 DealWorker::DealWorker(std::vector<Scenario> points,
                        std::vector<ConfigSpec> configs, std::size_t worker,
                        std::size_t workers, const GridRunOptions& options)
@@ -1052,36 +852,25 @@ DealWorker::DealWorker(std::vector<Scenario> points,
   COREDIS_EXPECTS(workers > 0 && worker < workers);
   if (options_.jsonl_path.empty())
     throw std::runtime_error(
-        "deal workers need a JSONL output path to derive their shard file");
+        "shard workers need a JSONL output path to derive their shard file");
   queue_ = make_cell_queue(options_.storage, runs_per_point(points_),
                            options_.storage_dir);
   if (options_.cost_model == nullptr) {
     model_ = std::make_unique<CostModel>(points_, configs_);
     options_.cost_model = model_.get();
   }
+  held_.assign(queue_->size(), false);
   path_ = shard_path(options_.jsonl_path, {worker, workers});
   const std::string header =
       deal_header_line(points_, configs_, worker, workers);
-  namespace fs = std::filesystem;
-  if (options_.resume && fs::exists(path_)) {
-    const JsonlScan scan =
-        scan_deal_jsonl(path_, header, *queue_, configs_, {});
-    resumed_records_ = scan.cells_present;
-    // Drop the torn tail so appended blocks continue a clean prefix.
-    if (fs::file_size(path_) > scan.valid_bytes)
-      fs::resize_file(path_, scan.valid_bytes);
-    sink_.open(path_, std::ios::binary | std::ios::app);
-    if (!sink_) throw std::runtime_error("cannot write " + path_);
-    if (scan.valid_bytes == 0) {
-      sink_ << header << '\n';
-      sink_.flush();
-    }
-  } else {
-    sink_.open(path_, std::ios::binary | std::ios::trunc);
-    if (!sink_) throw std::runtime_error("cannot write " + path_);
-    sink_ << header << '\n';
-    sink_.flush();
-  }
+  resumed_records_ =
+      open_record_sink(sink_, path_, header, options_.resume, [&] {
+        return scan_jsonl(path_, header, *queue_, configs_, false,
+                          [this](ParsedCell&& cell, std::uintmax_t,
+                                 const std::string&) {
+                            held_[cell.cell] = true;
+                          });
+      }).cells_present;
 }
 
 DealWorker::~DealWorker() = default;
@@ -1092,77 +881,127 @@ std::size_t DealWorker::resumed_records() const noexcept {
 
 void DealWorker::run_block(std::size_t begin, std::size_t end) {
   COREDIS_EXPECTS(begin <= end && end <= queue_->size());
-  execute_span(points_, configs_, *queue_, begin, end - begin, &sink_,
-               options_, {});
+  // Only the runs of cells the file does not hold yet execute.
+  for (std::size_t k = begin; k < end;) {
+    if (held_[k]) {
+      ++k;
+      continue;
+    }
+    const std::size_t first = k;
+    while (k < end && !held_[k]) held_[k++] = true;
+    execute_span(points_, configs_, *queue_, first, k - first, &sink_,
+                 options_, {});
+  }
   if (!sink_) throw std::runtime_error("failed writing " + path_);
+}
+
+namespace {
+
+/// Where a cell's first valid record lives among the shard files.
+struct RecordLocation {
+  std::size_t shard = 0;
+  std::uintmax_t offset = 0;
+  std::size_t length = 0;
+  bool present = false;
+};
+
+struct ShardIndex {
+  std::vector<RecordLocation> cells;
+  std::size_t missing = 0;
+  std::vector<std::string> torn;  ///< shard files with a dropped torn tail
+};
+
+/// Index every cell's first occurrence — (shard, offset, length) —
+/// across the `workers` shard files of jsonl_path. Re-dealt blocks
+/// appear in more than one file; cells are deterministic in (point
+/// seed, rep), so every duplicate is byte-identical and keeping the
+/// first is safe. `require_files` refuses a missing file (the merge);
+/// otherwise it simply holds no cells (a resuming coordinator).
+ShardIndex index_shards(const std::vector<Scenario>& points,
+                        const std::vector<ConfigSpec>& configs,
+                        const CellQueue& queue, std::size_t workers,
+                        const std::string& jsonl_path, bool require_files) {
+  if (workers == 0) throw std::runtime_error("merge needs at least one shard");
+  ShardIndex index;
+  index.cells.resize(queue.size());
+  index.missing = queue.size();
+  for (std::size_t k = 0; k < workers; ++k) {
+    const std::string path = shard_path(jsonl_path, {k, workers});
+    if (!std::filesystem::exists(path)) {
+      if (!require_files) continue;
+      const std::string spec =
+          std::to_string(k) + "/" + std::to_string(workers);
+      throw std::runtime_error(
+          "missing shard file " + path + ": every worker writes one, even if "
+          "it computed nothing — run --worker " + spec +
+          " (or the --workers coordinator) before merging");
+    }
+    const JsonlScan scan = scan_jsonl(
+        path, deal_header_line(points, configs, k, workers), queue, configs,
+        false,
+        [&index, k](ParsedCell&& cell, std::uintmax_t offset,
+                    const std::string& line) {
+          RecordLocation& slot = index.cells[cell.cell];
+          if (slot.present) return;  // duplicate: keep the first
+          slot = {k, offset, line.size(), true};
+          --index.missing;
+        });
+    if (scan.dropped_tail) index.torn.push_back(path);
+  }
+  return index;
+}
+
+}  // namespace
+
+std::vector<bool> shard_coverage(const std::vector<Scenario>& points,
+                                 const std::vector<ConfigSpec>& configs,
+                                 std::size_t workers,
+                                 const std::string& jsonl_path) {
+  const std::unique_ptr<CellQueue> queue =
+      make_cell_queue(StorageKind::Ram, runs_per_point(points));
+  const ShardIndex index =
+      index_shards(points, configs, *queue, workers, jsonl_path, false);
+  std::vector<bool> held(index.cells.size());
+  for (std::size_t k = 0; k < held.size(); ++k)
+    held[k] = index.cells[k].present;
+  return held;
 }
 
 void merge_deal_shards(const std::vector<Scenario>& points,
                        const std::vector<ConfigSpec>& configs,
                        std::size_t workers, const std::string& jsonl_path) {
   namespace fs = std::filesystem;
-  if (workers == 0)
-    throw std::runtime_error("merge needs at least one shard");
   const std::unique_ptr<CellQueue> queue =
       make_cell_queue(StorageKind::Ram, runs_per_point(points));
-
-  // Pass 1: index every cell's first occurrence — (shard, offset,
-  // length) — across all worker files. Re-dealt blocks appear in more
-  // than one file (or twice in a resumed one); cells are deterministic
-  // in (point seed, rep), so every duplicate is byte-identical and
-  // keeping the first is safe.
-  struct Location {
-    std::size_t shard = 0;
-    std::uintmax_t offset = 0;
-    std::size_t length = 0;
-    bool present = false;
-  };
-  std::vector<Location> index(queue->size());
-  std::size_t missing = queue->size();
-  for (std::size_t k = 0; k < workers; ++k) {
-    const std::string path = shard_path(jsonl_path, {k, workers});
-    const std::string spec = std::to_string(k) + "/" + std::to_string(workers);
-    if (!fs::exists(path))
-      throw std::runtime_error("missing deal shard file " + path +
-                               ": every worker of a dealt campaign writes "
-                               "one, even if it computed nothing");
-    if (detect_shard_mode(path) == ShardMode::Static)
-      throw std::runtime_error(
-          "shard file " + path +
-          " carries a static-shard header, not mode deal: it was produced "
-          "by --worker " +
-          spec + " (fixed ranges); merge those with the static merge");
-    scan_deal_jsonl(path, deal_header_line(points, configs, k, workers),
-                    *queue, configs,
-                    [&index, &missing, k](std::size_t cell,
-                                          std::uintmax_t offset,
-                                          std::size_t length) {
-                      Location& slot = index[cell];
-                      if (slot.present) return;  // duplicate: keep the first
-                      slot = {k, offset, length, true};
-                      --missing;
-                    });
-  }
-  if (missing != 0) {
+  const ShardIndex index =
+      index_shards(points, configs, *queue, workers, jsonl_path, true);
+  if (index.missing != 0) {
     std::size_t first_missing = 0;
-    while (first_missing < index.size() && index[first_missing].present)
-      ++first_missing;
+    while (index.cells[first_missing].present) ++first_missing;
+    std::string torn;
+    for (const std::string& path : index.torn)
+      torn += (torn.empty() ? "; torn tail dropped in " : ", ") + path;
     throw std::runtime_error(
-        "dealt campaign is incomplete: " + std::to_string(missing) + " of " +
-        std::to_string(queue->size()) + " cells missing (first: cell " +
-        std::to_string(first_missing) +
-        "); rerun the coordinator with --resume to deal the missing blocks");
+        "campaign shards are incomplete: " + std::to_string(index.missing) +
+        " of " + std::to_string(queue->size()) +
+        " cells missing (first: cell " + std::to_string(first_missing) +
+        torn +
+        "); rerun the workers with --resume to compute the missing cells");
   }
 
-  // Pass 2: emit the single-process artifact — header, then every
-  // cell's record bytes in global cell order — crash-atomically, like
-  // the static merge.
+  // Crash-atomic publication (DESIGN.md section 7.4): the merged artifact
+  // is final — unlike shard files it has no resume story — so it is
+  // assembled in a temp sibling and renamed over jsonl_path only after a
+  // flush + fsync. A crash (even kill -9) mid-merge leaves the final
+  // name untouched; the fixed temp name is self-cleaning — the next
+  // merge truncates the same sibling. The bytes are the single-process
+  // header, then every cell's record in global cell order.
   std::vector<std::ifstream> shards(workers);
   for (std::size_t k = 0; k < workers; ++k) {
     const std::string path = shard_path(jsonl_path, {k, workers});
     shards[k].open(path, std::ios::binary);
     if (!shards[k])
-      throw std::runtime_error("cannot reopen deal shard file " + path);
+      throw std::runtime_error("cannot reopen shard file " + path);
   }
   const std::string temp_path = atomic_temp_path(jsonl_path);
   std::ofstream out(temp_path, std::ios::binary | std::ios::trunc);
@@ -1170,15 +1009,14 @@ void merge_deal_shards(const std::vector<Scenario>& points,
   try {
     out << header_line(points, configs) << '\n';
     std::string record;
-    for (const Location& slot : index) {
+    for (const RecordLocation& slot : index.cells) {
       record.resize(slot.length);
       std::ifstream& shard = shards[slot.shard];
       shard.seekg(static_cast<std::streamoff>(slot.offset));
       shard.read(record.data(), static_cast<std::streamsize>(slot.length));
       if (!shard)
-        throw std::runtime_error(
-            "deal shard file changed under the merge: " +
-            shard_path(jsonl_path, {slot.shard, workers}));
+        throw std::runtime_error("shard file changed under the merge: " +
+                                 shard_path(jsonl_path, {slot.shard, workers}));
       out << record << '\n';
     }
     out.flush();
@@ -1186,6 +1024,8 @@ void merge_deal_shards(const std::vector<Scenario>& points,
     out.close();
     commit_file(temp_path, jsonl_path);
   } catch (...) {
+    // Never leave a half-merged temp behind a loud refusal; the final
+    // path was not touched.
     out.close();
     std::error_code ignored;
     fs::remove(temp_path, ignored);
@@ -1193,23 +1033,17 @@ void merge_deal_shards(const std::vector<Scenario>& points,
   }
 }
 
-void merge_campaign_deal_shards(const Campaign& campaign, std::size_t workers,
-                                const std::string& jsonl_path) {
-  merge_deal_shards(materialize(campaign), campaign.configs, workers,
-                    jsonl_path);
-}
-
 std::vector<PointResult> summarize_jsonl(const Campaign& campaign,
                                          const std::string& path,
                                          JsonlCoverage* coverage) {
-  const std::vector<Scenario> points = materialize(campaign);
+  const std::vector<Scenario> points = campaign_points(campaign);
   const std::unique_ptr<CellQueue> queue =
       make_cell_queue(StorageKind::Ram, runs_per_point(points));
   std::vector<PointResult> aggregated = point_frames(points, campaign.configs);
   const JsonlScan scan = scan_jsonl(
-      path, header_line(points, campaign.configs), *queue, 0, queue->size(),
-      campaign.configs,
-      [&aggregated](std::size_t, const std::string&, ParsedCell&& cell) {
+      path, header_line(points, campaign.configs), *queue, campaign.configs,
+      true,
+      [&aggregated](ParsedCell&& cell, std::uintmax_t, const std::string&) {
         fold_cell(aggregated[cell.point], cell.result);
       });
   if (coverage != nullptr) {

@@ -184,18 +184,22 @@ struct GridRunOptions {
 [[nodiscard]] std::vector<PointResult> run_campaign(
     const Campaign& campaign, const GridRunOptions& options = {});
 
-// --- distributed shard fabric (DESIGN.md section 7.4) ---------------------
+// --- the shard fabric (DESIGN.md sections 7.4 and 12.3) ------------------
 //
-// A distributed campaign partitions the flattened cell space [0, cells)
-// into `count` contiguous ranges; worker k computes global cells
-// [shard_range(total, {k, count})) and streams them — with their *global*
-// cell indices and the exact single-process record bytes — to its own
-// shard file under a shard header. merge_shards then validates every
-// shard and concatenates the record lines under the single-process
-// campaign header, so the merged artifact is byte-identical (cmp) to the
-// file one uninterrupted run_grid would have produced.
+// A distributed campaign hands contiguous blocks of the flattened cell
+// space [0, cells) to `workers` workers. Worker k streams each of its
+// blocks' records — global cell indices, the exact single-process
+// bytes — into its one shard file under a worker header, in block
+// completion order. The dealing coordinator (exp/fabric.hpp) cuts
+// cost-balanced blocks and deals them to idle workers; `--worker k/W`
+// and `--deal static` run the one block shard_range(cells, {k, W}) per
+// worker. Blocks may land in any order and a re-dealt block may appear
+// in two files, so merge_deal_shards indexes records by cell, dedupes
+// (duplicates are byte-identical: cells are deterministic in (point
+// seed, rep)), and emits in global cell order — cmp-identical to the
+// single-process artifact.
 
-/// One shard of a distributed campaign: worker `index` of `count`.
+/// One worker of a distributed campaign: worker `index` of `count`.
 struct ShardSpec {
   std::size_t index = 0;
   std::size_t count = 1;
@@ -210,54 +214,14 @@ struct ShardSpec {
 [[nodiscard]] std::pair<std::size_t, std::size_t> shard_range(
     std::size_t total_cells, const ShardSpec& shard);
 
-/// The shard's own JSONL file, derived from the final artifact path:
+/// The worker's own JSONL file, derived from the final artifact path:
 /// "out.jsonl" -> "out.shard1of4.jsonl".
 [[nodiscard]] std::string shard_path(const std::string& jsonl_path,
                                      const ShardSpec& shard);
 
-/// Run one shard's cells into shard_path(options.jsonl_path, shard).
-/// Same committer, storage and resume semantics as run_grid — a killed
-/// worker rerun with resume=true adopts its shard file's valid prefix.
-/// Throws std::runtime_error when options.jsonl_path is empty.
-void run_shard(const std::vector<Scenario>& points,
-               const std::vector<ConfigSpec>& configs, const ShardSpec& shard,
-               const GridRunOptions& options);
-
-/// Reassemble `workers` completed shard files into the single-process
-/// artifact at jsonl_path (overwritten). Refuses loudly — naming the
-/// offending shard file — when a shard is missing, incomplete, torn at
-/// the tail, corrupt, or from a different grid; on failure the partial
-/// output is removed.
-void merge_shards(const std::vector<Scenario>& points,
-                  const std::vector<ConfigSpec>& configs, std::size_t workers,
-                  const std::string& jsonl_path);
-
-/// run_shard / merge_shards over the campaign's materialized grid.
-void run_campaign_shard(const Campaign& campaign, const ShardSpec& shard,
-                        const GridRunOptions& options);
-void merge_campaign_shards(const Campaign& campaign, std::size_t workers,
-                           const std::string& jsonl_path);
-
 /// The campaign's materialized grid points (grid.point(i) for every i) —
 /// the form the cost model and cell queue constructors take.
 [[nodiscard]] std::vector<Scenario> campaign_points(const Campaign& campaign);
-
-// --- dynamic dealing (DESIGN.md section 12.3) -----------------------------
-//
-// The static fabric above carves [0, cells) into one fixed contiguous
-// range per worker, so campaign wall-clock is the unluckiest range, not
-// total work / workers. Dynamic dealing keeps the same files and the
-// same byte-identical merge contract but hands out *blocks*: the
-// coordinator cuts the cell space into cost-balanced contiguous blocks,
-// deals them longest-predicted-first to whichever worker is idle, and
-// re-deals a lost worker's un-acked block. A worker streams each dealt
-// block's records — global cell indices, exact single-process bytes —
-// into its one shard file under a deal-mode header; blocks land in
-// completion order and a re-dealt block may appear in two files, so
-// merge_deal_shards indexes records by cell, dedupes (duplicates are
-// byte-identical: cells are deterministic in (point seed, rep)), and
-// emits in global cell order — cmp-identical to the single-process
-// artifact.
 
 /// One contiguous block of global cells handed to a worker.
 struct DealBlock {
@@ -273,24 +237,13 @@ struct DealBlock {
                                                       const CellQueue& queue,
                                                       std::size_t workers);
 
-/// How a shard file on disk was produced, detected from its header
-/// record shape. Throws std::runtime_error naming the path when the
-/// file opens on neither header (not a shard file at all).
-enum class ShardMode {
-  Static,  ///< fixed contiguous range (run_shard)
-  Deal,    ///< dynamically dealt blocks (DealWorker)
-};
-[[nodiscard]] ShardMode detect_shard_mode(const std::string& path);
-[[nodiscard]] const char* to_string(ShardMode mode);
-
-/// Worker-side session of a dealt campaign: opens (or resumes) the
-/// worker's shard file under a deal-mode header, then appends one
-/// record per cell for every dealt block. Each record line is flushed
-/// before run_block returns, so an ack sent after it covers bytes that
-/// are actually in the file; a torn line can only ever be the file's
-/// tail, which a resume truncates. Blocks may repeat cells already in
-/// the file (a re-dealt block after a crash): the duplicates are
-/// byte-identical and merge_deal_shards keeps the first.
+/// Worker-side session: opens (or, with options.resume, adopts) the
+/// worker's shard file, then appends one record per cell for every
+/// block it runs. Each record line is flushed before run_block returns,
+/// so an ack sent after it covers bytes that are actually in the file; a
+/// torn line can only ever be the file's tail, which a resume truncates.
+/// A block's cells already in this worker's file — adopted on resume or
+/// computed by an earlier block — are skipped, never recomputed.
 class DealWorker {
  public:
   DealWorker(std::vector<Scenario> points, std::vector<ConfigSpec> configs,
@@ -303,10 +256,11 @@ class DealWorker {
   /// Valid records adopted from a resumed shard file (duplicates count).
   [[nodiscard]] std::size_t resumed_records() const noexcept;
 
-  /// Compute cells [begin, end) and append their records. Within the
-  /// block the configured order/schedule apply; records retire in cell
-  /// order regardless. Throws on I/O failure (the coordinator treats a
-  /// dead worker and a thrown worker alike: re-deal).
+  /// Compute the cells of [begin, end) this worker's file does not hold
+  /// yet and append their records. Within the block the configured
+  /// order/schedule apply; records retire in cell order regardless.
+  /// Throws on I/O failure (the coordinator treats a dead worker and a
+  /// thrown worker alike: re-deal).
   void run_block(std::size_t begin, std::size_t end);
 
  private:
@@ -315,24 +269,31 @@ class DealWorker {
   GridRunOptions options_;
   std::unique_ptr<CellQueue> queue_;
   std::unique_ptr<CostModel> model_;
+  std::vector<bool> held_;  ///< cells already in the shard file
   std::ofstream sink_;
   std::string path_;
   std::size_t resumed_records_ = 0;
 };
 
-/// Reassemble `workers` deal-mode shard files into the byte-identical
-/// single-process artifact at jsonl_path (crash-atomic, like
-/// merge_shards). Validates every shard's header and records, tolerates
-/// a torn trailing line per shard, dedupes re-dealt cells, and refuses
-/// loudly — naming the file, the missing cells and the shard's mode —
-/// when coverage is incomplete or a static-mode shard is mixed in.
+/// Which cells the existing shard files of jsonl_path (for `workers`
+/// workers) already hold; a missing file holds none. Validates every
+/// file exactly as merge_deal_shards does — a resuming coordinator
+/// deals only the cells no file covers.
+[[nodiscard]] std::vector<bool> shard_coverage(
+    const std::vector<Scenario>& points,
+    const std::vector<ConfigSpec>& configs, std::size_t workers,
+    const std::string& jsonl_path);
+
+/// Reassemble `workers` shard files into the byte-identical
+/// single-process artifact at jsonl_path, crash-atomically (the final
+/// name is absent or complete, never truncated). Tolerates one
+/// unterminated torn line per shard, dedupes re-dealt cells, and refuses
+/// loudly — naming the file, or the first missing cell with a --resume
+/// hint — when a shard is missing, foreign, corrupt or coverage is
+/// incomplete; on failure no output is left behind.
 void merge_deal_shards(const std::vector<Scenario>& points,
                        const std::vector<ConfigSpec>& configs,
                        std::size_t workers, const std::string& jsonl_path);
-
-/// merge_deal_shards over the campaign's materialized grid.
-void merge_campaign_deal_shards(const Campaign& campaign, std::size_t workers,
-                                const std::string& jsonl_path);
 
 /// How much of a campaign a JSONL results file covers.
 struct JsonlCoverage {

@@ -2,7 +2,8 @@
 /// line-numbered errors, whole-grid execution equivalence with run_point,
 /// byte-identical JSONL under any thread count, the interrupt/resume
 /// contract (truncated and corrupted-tail files), and the distributed
-/// shard fabric (shard ranges, worker shard files, byte-identical merge).
+/// shard fabric (shard ranges, worker shard files, byte-identical merge;
+/// the forking coordinator itself is fabric_test.cpp's).
 
 #include <algorithm>
 #include <cstddef>
@@ -548,6 +549,21 @@ TEST(CampaignShard, ShardPathSplicesBeforeTheExtension) {
                 .string());
 }
 
+/// Run worker k of W the way `--worker k/W` does: one DealWorker running
+/// the block shard_range(cells, {k, W}).
+void run_static_worker(const Campaign& campaign, const ShardSpec& shard,
+                       const GridRunOptions& options) {
+  DealWorker worker(campaign_points(campaign), campaign.configs, shard.index,
+                    shard.count, options);
+  const auto [begin, end] = shard_range(campaign.cells(), shard);
+  worker.run_block(begin, end);
+}
+
+void merge_shards_of(const Campaign& campaign, std::size_t workers,
+                     const std::string& out) {
+  merge_deal_shards(campaign_points(campaign), campaign.configs, workers, out);
+}
+
 /// Run every shard of `campaign` for `workers` workers into the shard
 /// files of `out`, then merge into `out`.
 void run_all_shards_and_merge(const Campaign& campaign, std::size_t workers,
@@ -556,9 +572,9 @@ void run_all_shards_and_merge(const Campaign& campaign, std::size_t workers,
     GridRunOptions options;
     options.jsonl_path = out;
     options.threads = 2;
-    run_campaign_shard(campaign, {k, workers}, options);
+    run_static_worker(campaign, {k, workers}, options);
   }
-  merge_campaign_shards(campaign, workers, out);
+  merge_shards_of(campaign, workers, out);
 }
 
 void remove_shard_files(const std::string& out, std::size_t workers) {
@@ -604,8 +620,8 @@ TEST(CampaignShard, TornShardResumesToAnIdenticalMerge) {
   GridRunOptions shard_options;
   shard_options.jsonl_path = out.string();
   shard_options.threads = 2;
-  run_campaign_shard(campaign, {0, 2}, shard_options);
-  run_campaign_shard(campaign, {1, 2}, shard_options);
+  run_static_worker(campaign, {0, 2}, shard_options);
+  run_static_worker(campaign, {1, 2}, shard_options);
 
   // Kill simulation: shard 0 loses half of its last record (no newline),
   // exactly what a SIGKILL mid-append leaves behind.
@@ -619,7 +635,7 @@ TEST(CampaignShard, TornShardResumesToAnIdenticalMerge) {
 
   // Merging the torn shard refuses loudly and leaves no artifact behind.
   try {
-    merge_campaign_shards(campaign, 2, out.string());
+    merge_shards_of(campaign, 2, out.string());
     FAIL() << "must refuse a torn shard";
   } catch (const std::runtime_error& error) {
     const std::string what = error.what();
@@ -632,9 +648,9 @@ TEST(CampaignShard, TornShardResumesToAnIdenticalMerge) {
   // byte-identical to the uninterrupted single-process artifact.
   GridRunOptions resume = shard_options;
   resume.resume = true;
-  run_campaign_shard(campaign, {0, 2}, resume);
+  run_static_worker(campaign, {0, 2}, resume);
   EXPECT_EQ(read_file(shard0), full_shard);
-  merge_campaign_shards(campaign, 2, out.string());
+  merge_shards_of(campaign, 2, out.string());
   EXPECT_EQ(read_file(out), read_file(single_path));
 
   remove_shard_files(out.string(), 2);
@@ -649,13 +665,13 @@ TEST(CampaignShard, MergeRefusesMissingMismatchedAndOversizedShards) {
   GridRunOptions options;
   options.jsonl_path = out.string();
   options.threads = 2;
-  run_campaign_shard(campaign, {0, 2}, options);
+  run_static_worker(campaign, {0, 2}, options);
   const std::string shard0 = shard_path(out.string(), {0, 2});
   const std::string shard1 = shard_path(out.string(), {1, 2});
 
   // Missing shard 1: the refusal names the missing file.
   try {
-    merge_campaign_shards(campaign, 2, out.string());
+    merge_shards_of(campaign, 2, out.string());
     FAIL() << "must refuse a missing shard";
   } catch (const std::runtime_error& error) {
     EXPECT_NE(std::string(error.what()).find(shard1), std::string::npos)
@@ -667,19 +683,25 @@ TEST(CampaignShard, MergeRefusesMissingMismatchedAndOversizedShards) {
   Campaign other = campaign;
   other.grid.base.seed = 7;
   GridRunOptions other_options = options;
-  run_campaign_shard(other, {1, 2}, other_options);
-  EXPECT_THROW(merge_campaign_shards(campaign, 2, out.string()),
+  run_static_worker(other, {1, 2}, other_options);
+  EXPECT_THROW(merge_shards_of(campaign, 2, out.string()),
                std::runtime_error);
   EXPECT_FALSE(std::filesystem::exists(out));
 
-  // Trailing data beyond the shard's range refuses too.
-  run_campaign_shard(campaign, {1, 2}, options);
+  // A complete garbage record after the shard's cells refuses too,
+  // naming the file.
+  run_static_worker(campaign, {1, 2}, options);
   {
     std::ofstream append(shard1, std::ios::binary | std::ios::app);
     append << "{\"cell\":99}\n";
   }
-  EXPECT_THROW(merge_campaign_shards(campaign, 2, out.string()),
-               std::runtime_error);
+  try {
+    merge_shards_of(campaign, 2, out.string());
+    FAIL() << "must refuse a garbage-tailed shard";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(shard1), std::string::npos)
+        << error.what();
+  }
   EXPECT_FALSE(std::filesystem::exists(out));
 
   // Shard files are not campaign files: resuming the final artifact from
@@ -695,7 +717,7 @@ TEST(CampaignShard, MergeRefusesMissingMismatchedAndOversizedShards) {
 
 TEST(CampaignShard, ShardRunsNeedAnOutputPath) {
   const Campaign campaign = parse_campaign(kSmokeCampaign);
-  EXPECT_THROW(run_campaign_shard(campaign, {0, 2}, GridRunOptions{}),
+  EXPECT_THROW(run_static_worker(campaign, {0, 2}, GridRunOptions{}),
                std::runtime_error);
 }
 
@@ -715,9 +737,9 @@ TEST(CampaignShard, FileStorageShardsMergeIdentically) {
     options.threads = 8;
     options.storage = StorageKind::File;
     options.spill_ram_budget_bytes = 1;
-    run_campaign_shard(campaign, {k, 2}, options);
+    run_static_worker(campaign, {k, 2}, options);
   }
-  merge_campaign_shards(campaign, 2, file_out.string());
+  merge_shards_of(campaign, 2, file_out.string());
   EXPECT_EQ(read_file(file_out), read_file(ram_out));
 
   remove_shard_files(ram_out.string(), 2);
@@ -748,8 +770,8 @@ TEST(CampaignMerge, FailureTouchesNeitherFinalNorTemp) {
   GridRunOptions options;
   options.jsonl_path = out.string();
   options.threads = 2;
-  run_campaign_shard(campaign, {0, 2}, options);  // shard 1 never runs
-  EXPECT_THROW(merge_campaign_shards(campaign, 2, out.string()),
+  run_static_worker(campaign, {0, 2}, options);  // shard 1 never runs
+  EXPECT_THROW(merge_shards_of(campaign, 2, out.string()),
                std::runtime_error);
   EXPECT_FALSE(std::filesystem::exists(out));
   EXPECT_FALSE(std::filesystem::exists(atomic_temp_path(out.string())));
@@ -757,8 +779,8 @@ TEST(CampaignMerge, FailureTouchesNeitherFinalNorTemp) {
   // Supplying the missing shard makes the same merge succeed, and a
   // stale temp sibling (a previous crash's debris) is simply truncated.
   write_file(atomic_temp_path(out.string()), "stale debris\n");
-  run_campaign_shard(campaign, {1, 2}, options);
-  merge_campaign_shards(campaign, 2, out.string());
+  run_static_worker(campaign, {1, 2}, options);
+  merge_shards_of(campaign, 2, out.string());
   EXPECT_FALSE(std::filesystem::exists(atomic_temp_path(out.string())));
 
   // The recovered artifact is byte-identical to a clean single-process run.
@@ -982,15 +1004,16 @@ TEST(CampaignDeal, TornTailResumesAndRedealCompletesTheMerge) {
   const std::string bytes = read_file(shard);
   write_file(shard, bytes.substr(0, bytes.size() - 17));
   {
-    // The respawned worker adopts the valid prefix (7 of 8 records) and
-    // recomputes the whole re-dealt block; duplicates dedupe in the
-    // merge.
+    // The respawned worker adopts the valid prefix (7 of 8 records) and,
+    // handed the whole block again, computes only the one missing cell.
     GridRunOptions resume_options = worker_options;
     resume_options.resume = true;
     DealWorker again(points, campaign.configs, 0, 1, resume_options);
     EXPECT_EQ(again.resumed_records(), 7u);
     again.run_block(0, 8);
   }
+  EXPECT_EQ(lines_of(read_file(shard)).size(), 1u + 8u);
+  EXPECT_EQ(read_file(shard), bytes);
   merge_deal_shards(points, campaign.configs, 1, out.string());
   EXPECT_EQ(read_file(out), reference);
   remove_deal_files(out.string(), 1);
@@ -998,7 +1021,7 @@ TEST(CampaignDeal, TornTailResumesAndRedealCompletesTheMerge) {
   std::filesystem::remove(single_path);
 }
 
-TEST(CampaignDeal, MergeRefusesGapsAndMixedModes) {
+TEST(CampaignDeal, MergeRefusesGapsAndTheLegacyHeader) {
   const Campaign campaign = parse_campaign(kSmokeCampaign);
   const std::vector<Scenario> points = campaign_points(campaign);
   const auto out = temp_jsonl("deal_refuse");
@@ -1022,33 +1045,74 @@ TEST(CampaignDeal, MergeRefusesGapsAndMixedModes) {
   }
   EXPECT_FALSE(std::filesystem::exists(out));
 
-  // A static shard mixed into a deal merge is refused naming its mode —
-  // and vice versa.
-  GridRunOptions static_options;
-  static_options.jsonl_path = out.string();
-  run_shard(points, campaign.configs, {1, 2}, static_options);
+  // A shard under the retired static-shard header (fixed per-shard
+  // ranges) is not this campaign's shard format: refused, naming it.
+  const std::string shard1 = shard_path(out.string(), {1, 2});
+  std::vector<std::string> lines = lines_of(read_file(shard1));
+  lines[0] =
+      "{\"coredis_campaign_shard\":1,\"fingerprint\":\"0\",\"shard\":1,"
+      "\"workers\":2,\"begin\":4,\"end\":8,\"cells\":8,\"configs\":[]}";
+  std::string legacy;
+  for (const std::string& line : lines) legacy += line + '\n';
+  write_file(shard1, legacy);
   try {
     merge_deal_shards(points, campaign.configs, 2, out.string());
-    FAIL() << "must refuse a static shard in a deal merge";
+    FAIL() << "must refuse a legacy static-shard header";
   } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("static-shard header"),
-              std::string::npos)
+    EXPECT_NE(std::string(error.what()).find(shard1), std::string::npos)
         << error.what();
   }
-  EXPECT_EQ(detect_shard_mode(shard_path(out.string(), {0, 2})),
-            ShardMode::Deal);
-  EXPECT_EQ(detect_shard_mode(shard_path(out.string(), {1, 2})),
-            ShardMode::Static);
-  try {
-    merge_shards(points, campaign.configs, 2, out.string());
-    FAIL() << "must refuse a deal shard in a static merge";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("deal-mode header"),
-              std::string::npos)
-        << error.what();
-  }
+  EXPECT_FALSE(std::filesystem::exists(out));
   remove_deal_files(out.string(), 2);
+}
+
+TEST(CampaignDeal, MergeRefusesANewlineTerminatedCorruptRecord) {
+  const Campaign campaign = parse_campaign(kSmokeCampaign);
+  const std::vector<Scenario> points = campaign_points(campaign);
+  const auto single_path = temp_jsonl("deal_garbage_single");
+  std::filesystem::remove(single_path);
+  GridRunOptions options;
+  options.jsonl_path = single_path.string();
+  (void)run_campaign(campaign, options);
+
+  const auto out = temp_jsonl("deal_garbage");
   std::filesystem::remove(out);
+  GridRunOptions worker_options;
+  worker_options.jsonl_path = out.string();
+  {
+    DealWorker w0(points, campaign.configs, 0, 2, worker_options);
+    DealWorker w1(points, campaign.configs, 1, 2, worker_options);
+    w0.run_block(0, 4);
+    w1.run_block(4, 8);
+  }
+  const std::string shard1 = shard_path(out.string(), {1, 2});
+  const std::string clean = read_file(shard1);
+
+  // A crash can only tear an unterminated tail: that one is dropped and
+  // the complete shards still merge to the single-process bytes.
+  write_file(shard1, clean + "{\"cell\":9");
+  merge_deal_shards(points, campaign.configs, 2, out.string());
+  EXPECT_EQ(read_file(out), read_file(single_path));
+  std::filesystem::remove(out);
+
+  // A complete (newline-terminated) garbage record is corruption: the
+  // merge and a resuming worker both refuse it, naming the file.
+  write_file(shard1, clean + "{\"cell\":99}\n");
+  try {
+    merge_deal_shards(points, campaign.configs, 2, out.string());
+    FAIL() << "must refuse a newline-terminated corrupt record";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(shard1), std::string::npos)
+        << error.what();
+  }
+  EXPECT_FALSE(std::filesystem::exists(out));
+  GridRunOptions resume_options = worker_options;
+  resume_options.resume = true;
+  EXPECT_THROW(DealWorker(points, campaign.configs, 1, 2, resume_options),
+               std::runtime_error);
+
+  remove_deal_files(out.string(), 2);
+  std::filesystem::remove(single_path);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "core/timeline.hpp"
 #include "core/types.hpp"
 #include "exp/campaign.hpp"
+#include "exp/fabric.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"

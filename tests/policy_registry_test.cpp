@@ -270,12 +270,15 @@ TEST(PolicyAdaptiveDeterminism, ShardMergeMatchesSingleRun) {
 
   const std::filesystem::path merged = temp_jsonl("adaptive_merged");
   std::filesystem::remove(merged);
+  const std::vector<Scenario> points = campaign_points(campaign);
   for (std::size_t worker = 0; worker < 2; ++worker) {
     GridRunOptions options;
     options.jsonl_path = merged.string();
-    run_campaign_shard(campaign, {worker, 2}, options);
+    DealWorker shard(points, campaign.configs, worker, 2, options);
+    const auto [begin, end] = shard_range(campaign.cells(), {worker, 2});
+    shard.run_block(begin, end);
   }
-  merge_campaign_shards(campaign, 2, merged.string());
+  merge_deal_shards(points, campaign.configs, 2, merged.string());
   const std::string bytes = read_file(merged);
   std::filesystem::remove(merged);
   for (std::size_t worker = 0; worker < 2; ++worker)

@@ -29,8 +29,9 @@
 /// — n 100 vs 1000 under both fault laws, a ~2-orders-of-magnitude
 /// cell-cost spread — single-process (`grid_hetero_w1`), through the
 /// cost-guided dynamic dealer's 4-worker critical path
-/// (`grid_hetero_w4`), and through the frozen static contiguous-shard
-/// schedule (`grid_hetero_w4_static`); `--check-deal-gap R` gates
+/// (`grid_hetero_w4`), and through the static schedule — one equal
+/// contiguous block per worker, what `--deal static` deals
+/// (`grid_hetero_w4_static`); `--check-deal-gap R` gates
 /// static/dynamic >= R within one run. Reports carry two machine
 /// probes, `calibration_seconds` (compute) and `calibration_mem_seconds`
 /// (memory bandwidth); `--check` normalizes by their geometric blend.
@@ -307,9 +308,9 @@ constexpr const char* kGridCampaign =
 
 /// Whole-campaign scenario: time one pass of kGridCampaign through the
 /// shard fabric. grid_workers == 1 times run_campaign directly; W > 1
-/// runs the W shards back to back — each single-threaded, exactly what a
-/// real worker process executes — and reports the coordinator's critical
-/// path, max-over-shards + merge, as the W-worker wall-clock estimator.
+/// runs the blocks back to back — with the worker's own thread count,
+/// exactly what a real worker process executes — and reports the
+/// coordinator's critical path as the W-worker wall-clock estimator.
 Measurement run_grid_point(const GridPoint& point) {
   namespace fs = std::filesystem;
   Measurement m;
@@ -323,8 +324,7 @@ Measurement run_grid_point(const GridPoint& point) {
           .string();
   const std::size_t workers = static_cast<std::size_t>(point.grid_workers);
   fs::remove(base);
-  for (std::size_t k = 0; k < workers; ++k)
-    fs::remove(exp::shard_path(base, {k, workers}));
+  fs::remove(exp::shard_path(base, {0, 1}));
 
   exp::GridRunOptions options;
   options.jsonl_path = base;
@@ -347,24 +347,33 @@ Measurement run_grid_point(const GridPoint& point) {
     std::vector<exp::PointResult> points;
     wall = seconds_of([&] { points = exp::run_campaign(campaign, options); });
     m.makespan_mean = points.at(0).baseline_makespan.mean();
-  } else if (point.grid_dynamic_deal) {
-    // Dynamic dealer's critical path on a one-core runner, the sibling
-    // of the static max-over-shards estimator below: plan the
-    // cost-balanced blocks, execute each once (timed, through a real
-    // DealWorker so the merge is the production path), then replay the
-    // deal — blocks in plan order, each to the earliest-free of W
-    // virtual workers at its measured cost. The estimate is the replay
-    // makespan plus the (timed) merge.
+  } else {
+    // W-worker critical path on a one-core runner: cut the blocks — the
+    // dealer's cost-balanced plan, or the static schedule's W equal
+    // blocks shard_range(cells, {k, W}) — execute each once (timed,
+    // through a real DealWorker so the merge is the production path),
+    // then replay the deal: blocks in plan order, each to the
+    // earliest-free of W virtual workers at its measured cost. The
+    // estimate is the replay makespan plus the (timed) merge; for the
+    // static schedule that is its slowest block plus the merge.
     const std::vector<exp::Scenario> grid_points =
         exp::campaign_points(campaign);
-    std::vector<std::size_t> runs_per_point;
-    for (const exp::Scenario& grid_point : grid_points)
-      runs_per_point.push_back(static_cast<std::size_t>(grid_point.runs));
-    const std::unique_ptr<exp::CellQueue> queue =
-        exp::make_cell_queue(exp::StorageKind::Ram, runs_per_point);
-    const exp::CostModel model(grid_points, campaign.configs);
-    const std::vector<exp::DealBlock> blocks =
-        exp::plan_deal_blocks(model, *queue, workers);
+    std::vector<exp::DealBlock> blocks;
+    if (point.grid_dynamic_deal) {
+      std::vector<std::size_t> runs_per_point;
+      for (const exp::Scenario& grid_point : grid_points)
+        runs_per_point.push_back(static_cast<std::size_t>(grid_point.runs));
+      const std::unique_ptr<exp::CellQueue> queue =
+          exp::make_cell_queue(exp::StorageKind::Ram, runs_per_point);
+      const exp::CostModel model(grid_points, campaign.configs);
+      blocks = exp::plan_deal_blocks(model, *queue, workers);
+    } else {
+      for (std::size_t k = 0; k < workers; ++k) {
+        const auto [begin, end] =
+            exp::shard_range(campaign.cells(), {k, workers});
+        blocks.push_back({begin, end});
+      }
+    }
     std::vector<double> block_seconds;
     {
       exp::DealWorker worker(grid_points, campaign.configs, 0, 1, options);
@@ -382,21 +391,6 @@ Measurement run_grid_point(const GridPoint& point) {
     m.makespan_mean =
         exp::summarize_jsonl(campaign, base).at(0).baseline_makespan.mean();
     fs::remove(exp::shard_path(base, {0, 1}));
-  } else {
-    double slowest = 0.0;
-    for (std::size_t k = 0; k < workers; ++k) {
-      const double shard_wall = seconds_of([&] {
-        exp::run_campaign_shard(campaign, {k, workers}, options);
-      });
-      slowest = std::max(slowest, shard_wall);
-    }
-    wall = slowest + seconds_of([&] {
-      exp::merge_campaign_shards(campaign, workers, base);
-    });
-    m.makespan_mean =
-        exp::summarize_jsonl(campaign, base).at(0).baseline_makespan.mean();
-    for (std::size_t k = 0; k < workers; ++k)
-      fs::remove(exp::shard_path(base, {k, workers}));
   }
   fs::remove(base);
 

@@ -11,14 +11,14 @@
 /// (committed in cell order, so the file is deterministic for any
 /// COREDIS_THREADS), and prints the per-point summary table.
 ///
-/// Distributed campaigns (DESIGN.md sections 7.4 and 12.3): `--workers
-/// N` coordinates N local worker processes — by default dealing
-/// cost-guided cell blocks dynamically to whichever worker is idle
-/// (lost blocks are re-dealt; `--deal static` restores one fixed
-/// contiguous range per worker) — `--worker k/W` runs one static shard
-/// in-process for external launchers (ssh, mpirun), and `--merge W`
-/// reassembles the byte-identical single-file artifact, auto-detecting
-/// the sharding mode from shard 0.
+/// Distributed campaigns (DESIGN.md sections 7.4 and 12.3) share one
+/// shard format: `--workers N` runs the exp/fabric.hpp coordinator over N
+/// local worker processes — dealing cost-guided cell blocks to whichever
+/// worker is idle, or with `--deal static` one equal contiguous block per
+/// worker; lost blocks are re-dealt — `--worker k/W` runs the block
+/// shard_range(cells, {k, W}) in-process for external launchers (ssh,
+/// mpirun), and `--merge W` reassembles the byte-identical single-file
+/// artifact from either.
 ///
 ///   coredis_campaign --campaign grid.txt --out results.jsonl
 ///   coredis_campaign --campaign grid.txt --out results.jsonl --resume
@@ -28,29 +28,15 @@
 ///   coredis_campaign --campaign grid.txt --summarize results.jsonl
 ///   coredis_campaign --campaign grid.txt --list
 
-#include <chrono>
 #include <cstddef>
-#include <cstdio>
 #include <filesystem>
 #include <iostream>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <cerrno>
-#include <csignal>
-#include <cstring>
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#define COREDIS_CAMPAIGN_FORK 1
-#endif
-
 #include "exp/campaign.hpp"
-#include "exp/cost_model.hpp"
+#include "exp/fabric.hpp"
 #include "exp/scenario_file.hpp"
 #include "exp/storage.hpp"
 #include "util/cli.hpp"
@@ -130,627 +116,38 @@ int run_campaign_to(const exp::Campaign& campaign,
 
 int run_worker(const exp::Campaign& campaign, const exp::ShardSpec& shard,
                const exp::GridRunOptions& options) {
+  const std::string path = exp::shard_path(options.jsonl_path, shard);
+  if (!options.resume) refuse_existing(path, "shard file");
   const auto [begin, end] = exp::shard_range(campaign.cells(), shard);
-  if (!options.resume)
-    refuse_existing(exp::shard_path(options.jsonl_path, shard), "shard file");
-  exp::run_campaign_shard(campaign, shard, options);
+  exp::DealWorker worker(exp::campaign_points(campaign), campaign.configs,
+                         shard.index, shard.count, options);
+  worker.run_block(begin, end);
   std::cout << "shard " << shard.index << "/" << shard.count << " (cells "
-            << begin << ".." << end << ") written to "
-            << exp::shard_path(options.jsonl_path, shard) << '\n';
+            << begin << ".." << end << ") written to " << path << '\n';
   return 0;
 }
 
 int merge_to(const exp::Campaign& campaign, std::size_t workers,
              const std::string& out) {
-  // Auto-detect the sharding mode from shard 0's header (static
-  // contiguous ranges vs dynamically dealt blocks); a mode mismatch in
-  // any later shard is refused per-file, naming the mode it carries.
-  // A missing shard 0 falls through to the static merge for its
-  // "run shard 0/W first" guidance.
-  exp::ShardMode mode = exp::ShardMode::Static;
-  const std::string first = exp::shard_path(out, {0, workers});
-  if (std::filesystem::exists(first)) mode = exp::detect_shard_mode(first);
-  if (mode == exp::ShardMode::Deal)
-    exp::merge_campaign_deal_shards(campaign, workers, out);
-  else
-    exp::merge_campaign_shards(campaign, workers, out);
-  std::cout << "merged " << workers << " " << exp::to_string(mode)
-            << " shards -> " << out << '\n';
+  exp::merge_deal_shards(exp::campaign_points(campaign), campaign.configs,
+                         workers, out);
+  std::cout << "merged " << workers << " shards -> " << out << '\n';
   return 0;
 }
 
-#if defined(COREDIS_CAMPAIGN_FORK)
-/// Set by the coordinator's SIGINT/SIGTERM handler; checked by the reap
-/// loop (installed without SA_RESTART, so a blocked waitpid returns
-/// EINTR and the loop sees the flag promptly).
-volatile std::sig_atomic_t g_coordinator_signal = 0;
-
-extern "C" void coordinator_signal_handler(int sig) {
-  g_coordinator_signal = sig;
-}
-
-/// Remove a dead worker's scratch files. Workers leave via _Exit (and
-/// signaled ones never unwind at all), so the self-deleting ScratchFile
-/// destructors (exp/storage.cpp) do not run — the coordinator sweeps the
-/// pid-tagged names (`coredis_<tag>_<pid>_<seq>.bin`) from the spill
-/// directory instead. Best-effort: a failed removal must not mask the
-/// run's own outcome.
-void remove_worker_scratch(const std::string& dir, pid_t pid) {
-  namespace fs = std::filesystem;
-  std::error_code ignored;
-  const fs::path parent =
-      dir.empty() ? fs::temp_directory_path(ignored) : fs::path(dir);
-  // Appends instead of operator+ chains: GCC 12 misfires -Wrestrict on
-  // the latter (GCC PR105329).
-  std::string pid_tag = "_";
-  pid_tag += std::to_string(pid);
-  pid_tag += '_';
-  fs::directory_iterator it(parent, ignored), end;
-  for (; !ignored && it != end; it.increment(ignored)) {
-    const std::string name = it->path().filename().string();
-    if (name.rfind("coredis_", 0) == 0 &&
-        name.find(pid_tag) != std::string::npos && name.ends_with(".bin"))
-      fs::remove(it->path(), ignored);
-  }
-}
-#endif
-
-/// Coordinator: fork one worker per shard (each with its fair share of
-/// the machine's thread budget), re-issue a lost shard with resume — the
-/// rerun adopts the dead worker's shard-file prefix — and merge. Where
-/// fork() does not exist the shards run sequentially in-process, which
-/// preserves every artifact byte.
-///
-/// SIGINT/SIGTERM while coordinating forwards the signal to every live
-/// worker, reaps them, sweeps their scratch files, and exits 128+signal.
-/// Shard files are deliberately retained: each holds a valid prefix that
-/// --resume adopts.
-int run_distributed(const exp::Campaign& campaign, std::size_t workers,
-                    bool keep_shards, const exp::GridRunOptions& base) {
-  const std::string& out = base.jsonl_path;
-
-  const auto worker_options = [&](std::size_t k, bool resume) {
-    exp::GridRunOptions options = base;
-    options.resume = resume;
-    if (options.threads == 0)
-      options.threads = thread_budget_share(workers, k);
-    return options;
-  };
-
-#if defined(COREDIS_CAMPAIGN_FORK)
-  std::vector<pid_t> pids(workers, -1);
-  std::vector<int> attempts(workers, 0);
-  const int kMaxAttempts = 3;
-
-  const auto spawn = [&](std::size_t k, bool resume) {
-    std::cout.flush();
-    std::cerr.flush();
-    const pid_t pid = ::fork();
-    if (pid < 0)
-      throw std::runtime_error("cannot fork worker " + std::to_string(k));
-    if (pid == 0) {
-      // Children take the default signal dispositions back: the
-      // coordinator's flag-setting handler is meaningless in a worker,
-      // and a forwarded SIGTERM must actually kill it.
-      std::signal(SIGINT, SIG_DFL);
-      std::signal(SIGTERM, SIG_DFL);
-      int status = 1;
-      try {
-        exp::run_campaign_shard(campaign, {k, workers},
-                                worker_options(k, resume));
-        status = 0;
-      } catch (const std::exception& error) {
-        std::cerr << "worker " << k << "/" << workers
-                  << ": error: " << error.what() << '\n';
-      }
-      std::_Exit(status);  // no cleanup: the parent owns the terminal state
-    }
-    pids[k] = pid;
-    ++attempts[k];
-  };
-
-  // Interruption plumbing: flag-setting handlers without SA_RESTART, so
-  // the blocking waitpid below returns EINTR when the user hits Ctrl-C.
-  g_coordinator_signal = 0;
-  struct sigaction action {};
-  action.sa_handler = coordinator_signal_handler;
-  sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;
-  struct sigaction old_int {}, old_term {};
-  ::sigaction(SIGINT, &action, &old_int);
-  ::sigaction(SIGTERM, &action, &old_term);
-  const auto restore_handlers = [&] {
-    ::sigaction(SIGINT, &old_int, nullptr);
-    ::sigaction(SIGTERM, &old_term, nullptr);
-  };
-
-  std::cerr << "coordinating " << workers << " workers over "
-            << campaign.cells() << " cells -> " << out << '\n';
-  for (std::size_t k = 0; k < workers; ++k) spawn(k, base.resume);
-
-  std::size_t alive = workers;
-  bool gave_up = false;
-  while (alive > 0 && g_coordinator_signal == 0) {
-    int status = 0;
-    const pid_t pid = ::waitpid(-1, &status, 0);
-    if (pid < 0) {
-      if (errno == EINTR) continue;  // loop head re-checks the signal flag
-      // ECHILD (or worse) with live workers on the books means the pid
-      // table is wrong — stop loudly rather than merge a partial run.
-      std::string message = "coordinator: waitpid failed with ";
-      message += std::to_string(alive);
-      message += " workers outstanding: ";
-      message += std::strerror(errno);
-      restore_handlers();
-      throw std::runtime_error(message);
-    }
-    std::size_t k = workers;
-    for (std::size_t i = 0; i < workers; ++i)
-      if (pids[i] == pid) k = i;
-    if (k == workers) {
-      // Every child we fork is a shard worker; an unknown pid means the
-      // shard bookkeeping no longer matches reality, and retrying or
-      // merging on top of that would be guesswork.
-      std::string message = "coordinator: reaped unknown child pid ";
-      message += std::to_string(pid);
-      message += "; shard bookkeeping is corrupt";
-      restore_handlers();
-      throw std::runtime_error(message);
-    }
-    pids[k] = -1;
-    --alive;
-    // Workers exit via _Exit, so their self-deleting scratch files
-    // survived them; sweep the dead pid's names.
-    remove_worker_scratch(base.storage_dir, pid);
-    if (WIFEXITED(status) && WEXITSTATUS(status) == 0) continue;
-    if (attempts[k] < kMaxAttempts) {
-      // The shard file holds a valid prefix of the lost shard; re-issue
-      // with resume so only the missing cells are recomputed.
-      std::cerr << "worker " << k << "/" << workers
-                << " lost; re-issuing its shard with resume\n";
-      spawn(k, true);
-      ++alive;
-    } else {
-      std::cerr << "worker " << k << "/" << workers << " failed "
-                << kMaxAttempts << " times; giving up\n";
-      gave_up = true;
-    }
-  }
-
-  if (g_coordinator_signal != 0) {
-    const int sig = static_cast<int>(g_coordinator_signal);
-    std::cerr << "coordinator: caught signal " << sig
-              << "; stopping " << alive << " workers\n";
-    for (std::size_t i = 0; i < workers; ++i)
-      if (pids[i] > 0) ::kill(pids[i], sig);
-    for (std::size_t i = 0; i < workers; ++i) {
-      if (pids[i] <= 0) continue;
-      int status = 0;
-      while (::waitpid(pids[i], &status, 0) < 0 && errno == EINTR) {
-      }
-      remove_worker_scratch(base.storage_dir, pids[i]);
-    }
-    restore_handlers();
-    std::cerr << "coordinator: interrupted; shard files retained — rerun "
-                 "with --resume to continue\n";
-    return 128 + sig;
-  }
-  restore_handlers();
-  if (gave_up)
-    throw std::runtime_error(
-        "distributed campaign failed: a shard kept dying; fix the cause and "
-        "rerun with --resume to keep the completed cells");
-#else
-  std::cerr << "coordinating " << workers << " shards sequentially over "
-            << campaign.cells() << " cells -> " << out
-            << " (no fork() on this platform)\n";
-  for (std::size_t k = 0; k < workers; ++k)
-    exp::run_campaign_shard(campaign, {k, workers},
-                            worker_options(k, base.resume));
-#endif
-
-  exp::merge_campaign_shards(campaign, workers, out);
-  if (!keep_shards)
-    for (std::size_t k = 0; k < workers; ++k) {
-      std::error_code ignored;
-      std::filesystem::remove(exp::shard_path(out, {k, workers}), ignored);
-    }
-
+int run_workers(const exp::Campaign& campaign,
+                const exp::GridRunOptions& options,
+                const exp::FabricOptions& fabric) {
+  const exp::FabricReport report = exp::run_fabric(campaign, options, fabric);
+  if (report.signal != 0) return 128 + report.signal;
   const std::vector<exp::PointResult> points =
-      exp::summarize_jsonl(campaign, out);
+      exp::summarize_jsonl(campaign, options.jsonl_path);
   std::cout << exp::render_campaign_table(campaign, points);
-  std::cout << "\nresults written to " << out << " (" << workers
-            << " workers)\n";
+  std::cout << "\nresults written to " << options.jsonl_path << " ("
+            << fabric.workers << " workers, "
+            << (fabric.static_blocks ? "static" : "dynamic") << " dealing)\n";
   return 0;
 }
-
-#if defined(COREDIS_CAMPAIGN_FORK)
-/// Child side of a dealt campaign: serve "deal <begin> <end>" commands
-/// from the private command pipe until "done", acking each completed
-/// block — after its records are flushed — with one atomic write
-/// (well under PIPE_BUF) on the shared ack pipe. A coordinator that
-/// vanished (pipe EOF) ends the worker with a nonzero status: its file
-/// keeps the completed blocks for a --resume.
-int deal_worker_loop(const std::vector<exp::Scenario>& points,
-                     const std::vector<exp::ConfigSpec>& configs,
-                     std::size_t worker_index, std::size_t workers,
-                     const exp::GridRunOptions& options, int command_fd,
-                     int ack_fd) {
-  exp::DealWorker worker(points, configs, worker_index, workers, options);
-  std::string buffer;
-  char chunk[256];
-  for (;;) {
-    std::size_t newline;
-    while ((newline = buffer.find('\n')) == std::string::npos) {
-      const ssize_t n = ::read(command_fd, chunk, sizeof chunk);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return 1;
-      }
-      if (n == 0) return 1;  // coordinator gone: no one left to ack to
-      buffer.append(chunk, static_cast<std::size_t>(n));
-    }
-    const std::string command = buffer.substr(0, newline);
-    buffer.erase(0, newline + 1);
-    if (command == "done") return 0;
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    if (std::sscanf(command.c_str(), "deal %zu %zu", &begin, &end) != 2)
-      return 1;
-    const auto start = std::chrono::steady_clock::now();
-    worker.run_block(begin, end);
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    char ack[128];
-    const int length = std::snprintf(ack, sizeof ack, "%zu %zu %zu %.6f\n",
-                                     worker_index, begin, end, seconds);
-    if (length <= 0 ||
-        ::write(ack_fd, ack, static_cast<std::size_t>(length)) != length)
-      return 1;
-  }
-}
-
-/// Dynamic dealing coordinator (DESIGN.md section 12.3): fork W workers
-/// — each wired to a private command pipe plus one shared ack pipe —
-/// cut the cell space into cost-balanced blocks, deal them
-/// longest-predicted-first to whichever worker is idle, refine the cost
-/// model from per-block ack timings (re-ranking the remaining blocks),
-/// re-deal a dead worker's un-acked block and respawn the worker with
-/// resume while attempts remain, then merge the deal-mode shard files
-/// into the byte-identical single-process artifact.
-///
-/// SIGINT/SIGTERM behave exactly like the static coordinator: forward,
-/// reap, sweep scratch, retain shard files for --resume, exit
-/// 128+signal.
-int run_dealt(const exp::Campaign& campaign, std::size_t workers,
-              bool keep_shards, const exp::GridRunOptions& base) {
-  const std::string& out = base.jsonl_path;
-  const std::vector<exp::Scenario> points = exp::campaign_points(campaign);
-  std::vector<std::size_t> runs;
-  runs.reserve(points.size());
-  for (const exp::Scenario& point : points)
-    runs.push_back(static_cast<std::size_t>(point.runs));
-  const std::unique_ptr<exp::CellQueue> queue =
-      exp::make_cell_queue(exp::StorageKind::Ram, runs);
-  exp::CostModel model(points, campaign.configs);
-
-  // The pending blocks keep a per-point cell histogram so re-ranking
-  // under the refined model costs O(points) per block, not O(cells).
-  struct Pending {
-    exp::DealBlock block;
-    std::vector<std::size_t> counts;
-  };
-  const auto histogram = [&](const exp::DealBlock& block) {
-    std::vector<std::size_t> counts(points.size(), 0);
-    for (std::size_t k = block.begin; k < block.end; ++k)
-      ++counts[queue->at(k).point];
-    return counts;
-  };
-  std::vector<Pending> pending;
-  for (const exp::DealBlock& block :
-       exp::plan_deal_blocks(model, *queue, workers))
-    pending.push_back({block, histogram(block)});
-  const std::size_t planned_blocks = pending.size();
-  const auto requeue = [&](const exp::DealBlock& block) {
-    pending.push_back({block, histogram(block)});
-  };
-  const auto take_longest = [&] {
-    std::size_t best = 0;
-    double best_cost = -1.0;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      double cost = 0.0;
-      for (std::size_t p = 0; p < pending[i].counts.size(); ++p)
-        if (pending[i].counts[p] != 0)
-          cost += model.predict(p) *
-                  static_cast<double>(pending[i].counts[p]);
-      if (cost > best_cost) {
-        best_cost = cost;
-        best = i;
-      }
-    }
-    const exp::DealBlock block = pending[best].block;
-    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(best));
-    return block;
-  };
-
-  const auto worker_options = [&](std::size_t k, bool resume) {
-    exp::GridRunOptions options = base;
-    options.resume = resume;
-    if (options.threads == 0)
-      options.threads = thread_budget_share(workers, k);
-    return options;
-  };
-
-  struct Proc {
-    pid_t pid = -1;
-    int command_fd = -1;
-    int attempts = 0;
-    bool busy = false;
-    exp::DealBlock block{};
-  };
-  std::vector<Proc> procs(workers);
-
-  int ack_pipe[2] = {-1, -1};
-  if (::pipe(ack_pipe) != 0)
-    throw std::runtime_error("cannot create the ack pipe");
-  ::fcntl(ack_pipe[0], F_SETFL, O_NONBLOCK);
-
-  const auto spawn = [&](std::size_t k, bool resume) {
-    int command[2] = {-1, -1};
-    if (::pipe(command) != 0)
-      throw std::runtime_error("cannot create a command pipe for worker " +
-                               std::to_string(k));
-    std::cout.flush();
-    std::cerr.flush();
-    const pid_t pid = ::fork();
-    if (pid < 0)
-      throw std::runtime_error("cannot fork worker " + std::to_string(k));
-    if (pid == 0) {
-      std::signal(SIGINT, SIG_DFL);
-      std::signal(SIGTERM, SIG_DFL);
-      std::signal(SIGPIPE, SIG_DFL);
-      ::close(command[1]);
-      ::close(ack_pipe[0]);
-      // Inherited write ends of the *other* workers' command pipes
-      // would keep their loops alive past the coordinator; drop them.
-      for (const Proc& other : procs)
-        if (other.command_fd >= 0) ::close(other.command_fd);
-      int status = 1;
-      try {
-        status = deal_worker_loop(points, campaign.configs, k, workers,
-                                  worker_options(k, resume), command[0],
-                                  ack_pipe[1]);
-      } catch (const std::exception& error) {
-        std::cerr << "worker " << k << "/" << workers
-                  << ": error: " << error.what() << '\n';
-      }
-      std::_Exit(status);
-    }
-    ::close(command[0]);
-    procs[k].pid = pid;
-    procs[k].command_fd = command[1];
-    procs[k].busy = false;
-    ++procs[k].attempts;
-  };
-
-  // Same interruption plumbing as the static coordinator, plus SIGPIPE
-  // ignored: writing "deal" to a worker that just died must surface as
-  // an error return, not kill the coordinator.
-  g_coordinator_signal = 0;
-  struct sigaction action {};
-  action.sa_handler = coordinator_signal_handler;
-  sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;
-  struct sigaction old_int {}, old_term {};
-  ::sigaction(SIGINT, &action, &old_int);
-  ::sigaction(SIGTERM, &action, &old_term);
-  const auto old_pipe = std::signal(SIGPIPE, SIG_IGN);
-  const auto restore_handlers = [&] {
-    ::sigaction(SIGINT, &old_int, nullptr);
-    ::sigaction(SIGTERM, &old_term, nullptr);
-    std::signal(SIGPIPE, old_pipe);
-  };
-  const auto close_fds = [&] {
-    for (Proc& proc : procs)
-      if (proc.command_fd >= 0) {
-        ::close(proc.command_fd);
-        proc.command_fd = -1;
-      }
-    ::close(ack_pipe[0]);
-    ::close(ack_pipe[1]);
-  };
-
-  std::cerr << "dealing " << planned_blocks << " blocks ("
-            << campaign.cells() << " cells) over " << workers
-            << " workers -> " << out << '\n';
-  for (std::size_t k = 0; k < workers; ++k) spawn(k, base.resume);
-
-  const int kMaxAttempts = 3;
-  std::string acks;
-  const auto any_busy = [&] {
-    for (const Proc& proc : procs)
-      if (proc.busy) return true;
-    return false;
-  };
-  const auto live_workers = [&] {
-    std::size_t alive = 0;
-    for (const Proc& proc : procs)
-      if (proc.pid > 0) ++alive;
-    return alive;
-  };
-  const auto drain_acks = [&] {
-    char buf[512];
-    for (;;) {
-      const ssize_t n = ::read(ack_pipe[0], buf, sizeof buf);
-      if (n > 0) {
-        acks.append(buf, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      break;  // EAGAIN: drained
-    }
-    for (;;) {
-      const std::size_t newline = acks.find('\n');
-      if (newline == std::string::npos) break;
-      const std::string line = acks.substr(0, newline);
-      acks.erase(0, newline + 1);
-      std::size_t k = 0;
-      std::size_t begin = 0;
-      std::size_t end = 0;
-      double seconds = 0.0;
-      const bool valid =
-          std::sscanf(line.c_str(), "%zu %zu %zu %lf", &k, &begin, &end,
-                      &seconds) == 4 &&
-          k < workers && procs[k].busy && procs[k].block.begin == begin &&
-          procs[k].block.end == end;
-      if (!valid) {
-        restore_handlers();
-        throw std::runtime_error("coordinator: malformed ack '" + line +
-                                 "'; deal bookkeeping is corrupt");
-      }
-      procs[k].busy = false;
-      // The block's one timing refines every point it touched, so the
-      // next take_longest re-ranks the remaining blocks.
-      model.observe_span(*queue, begin, end, seconds);
-    }
-  };
-  const auto deal_to_idle = [&] {
-    for (std::size_t k = 0; k < workers && !pending.empty(); ++k) {
-      Proc& proc = procs[k];
-      if (proc.pid <= 0 || proc.busy) continue;
-      const exp::DealBlock block = take_longest();
-      char command[96];
-      const int length = std::snprintf(command, sizeof command,
-                                       "deal %zu %zu\n", block.begin,
-                                       block.end);
-      if (::write(proc.command_fd, command,
-                  static_cast<std::size_t>(length)) != length) {
-        // The worker is dying; the reap sweep will handle it.
-        requeue(block);
-        continue;
-      }
-      proc.busy = true;
-      proc.block = block;
-    }
-  };
-
-  bool gave_up = false;
-  while ((!pending.empty() || any_busy()) && g_coordinator_signal == 0) {
-    deal_to_idle();
-    struct pollfd fd {};
-    fd.fd = ack_pipe[0];
-    fd.events = POLLIN;
-    const int ready = ::poll(&fd, 1, 200);
-    if (ready < 0 && errno != EINTR) {
-      restore_handlers();
-      throw std::runtime_error(std::string("coordinator: poll failed: ") +
-                               std::strerror(errno));
-    }
-    drain_acks();
-    for (;;) {
-      int status = 0;
-      const pid_t pid = ::waitpid(-1, &status, WNOHANG);
-      if (pid <= 0) break;
-      std::size_t k = workers;
-      for (std::size_t i = 0; i < workers; ++i)
-        if (procs[i].pid == pid) k = i;
-      if (k == workers) {
-        restore_handlers();
-        throw std::runtime_error("coordinator: reaped unknown child pid " +
-                                 std::to_string(pid) +
-                                 "; deal bookkeeping is corrupt");
-      }
-      procs[k].pid = -1;
-      ::close(procs[k].command_fd);
-      procs[k].command_fd = -1;
-      remove_worker_scratch(base.storage_dir, pid);
-      // An ack flushed just before the death must win over a re-deal:
-      // the acked block's records are on disk.
-      drain_acks();
-      if (procs[k].busy) {
-        std::cerr << "worker " << k << "/" << workers
-                  << " lost mid-block (cells " << procs[k].block.begin
-                  << ".." << procs[k].block.end << "); re-dealing it\n";
-        requeue(procs[k].block);
-        procs[k].busy = false;
-      }
-      // A dealt worker only exits after "done"; any exit here is a loss.
-      if (procs[k].attempts < kMaxAttempts) {
-        std::cerr << "worker " << k << "/" << workers
-                  << " lost; respawning with resume\n";
-        spawn(k, true);
-      } else {
-        std::cerr << "worker " << k << "/" << workers << " failed "
-                  << kMaxAttempts
-                  << " times; continuing with the remaining workers\n";
-      }
-    }
-    if (live_workers() == 0 && (!pending.empty() || any_busy())) {
-      gave_up = true;
-      break;
-    }
-  }
-
-  if (g_coordinator_signal != 0) {
-    const int sig = static_cast<int>(g_coordinator_signal);
-    std::cerr << "coordinator: caught signal " << sig << "; stopping "
-              << live_workers() << " workers\n";
-    for (const Proc& proc : procs)
-      if (proc.pid > 0) ::kill(proc.pid, sig);
-    for (Proc& proc : procs) {
-      if (proc.pid <= 0) continue;
-      int status = 0;
-      while (::waitpid(proc.pid, &status, 0) < 0 && errno == EINTR) {
-      }
-      remove_worker_scratch(base.storage_dir, proc.pid);
-      proc.pid = -1;
-    }
-    close_fds();
-    restore_handlers();
-    std::cerr << "coordinator: interrupted; shard files retained — rerun "
-                 "with --resume to continue\n";
-    return 128 + sig;
-  }
-
-  // Retire the fleet: every block is acked, so a worker that fails to
-  // exit cleanly after "done" cannot lose data — merge validates every
-  // record anyway.
-  for (const Proc& proc : procs)
-    if (proc.pid > 0 && proc.command_fd >= 0)
-      (void)!::write(proc.command_fd, "done\n", 5);
-  for (Proc& proc : procs) {
-    if (proc.pid <= 0) continue;
-    int status = 0;
-    while (::waitpid(proc.pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    remove_worker_scratch(base.storage_dir, proc.pid);
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0)
-      std::cerr << "note: a worker exited uncleanly after its last ack; "
-                   "the merge below validates every record\n";
-    proc.pid = -1;
-  }
-  close_fds();
-  restore_handlers();
-  if (gave_up)
-    throw std::runtime_error(
-        "dealt campaign failed: every worker kept dying; fix the cause and "
-        "rerun with --resume to keep the completed blocks");
-
-  exp::merge_campaign_deal_shards(campaign, workers, out);
-  if (!keep_shards)
-    for (std::size_t k = 0; k < workers; ++k) {
-      std::error_code ignored;
-      std::filesystem::remove(exp::shard_path(out, {k, workers}), ignored);
-    }
-  const std::vector<exp::PointResult> results =
-      exp::summarize_jsonl(campaign, out);
-  std::cout << exp::render_campaign_table(campaign, results);
-  std::cout << "\nresults written to " << out << " (" << workers
-            << " workers, dynamic dealing)\n";
-  return 0;
-}
-#endif
 
 }  // namespace
 
@@ -778,15 +175,14 @@ int main(int argc, char** argv) {
         .describe("deal",
                   "block distribution under --workers: dynamic (default; "
                   "cost-guided blocks dealt longest-first to idle workers) "
-                  "or static (one fixed contiguous range per worker)")
+                  "or static (one equal contiguous block per worker)")
         .describe("worker",
-                  "run one fixed contiguous shard (<index>/<count>, e.g. "
-                  "1/4) into its own shard file, for external launchers; "
-                  "always static — dynamic dealing needs the --workers "
-                  "coordinator")
+                  "run the contiguous block <index>/<count> (e.g. 1/4) into "
+                  "its own shard file, for external launchers; with "
+                  "--resume, skips the cells the file already holds")
         .describe("merge",
-                  "merge <count> completed shard files into --out, then exit "
-                  "(static or deal mode, auto-detected from shard 0)")
+                  "merge <count> shard files (from --workers or --worker) "
+                  "into --out, then exit")
         .describe("keep-shards", "keep per-shard files after a --workers merge")
         .describe("order",
                   "cell execution order: lpt (default; longest-predicted-"
@@ -872,17 +268,11 @@ int main(int argc, char** argv) {
         refuse_existing(out, "output file");
         refuse_existing_shards(out, static_cast<std::size_t>(count));
       }
-#if defined(COREDIS_CAMPAIGN_FORK)
-      if (deal == "dynamic")
-        return run_dealt(campaign, static_cast<std::size_t>(count),
-                         cli.get_bool("keep-shards"), options);
-#else
-      if (deal == "dynamic")
-        std::cerr << "note: no fork() on this platform; falling back to "
-                     "static contiguous shards\n";
-#endif
-      return run_distributed(campaign, static_cast<std::size_t>(count),
-                             cli.get_bool("keep-shards"), options);
+      exp::FabricOptions fabric;
+      fabric.workers = static_cast<std::size_t>(count);
+      fabric.static_blocks = deal == "static";
+      fabric.keep_shards = cli.get_bool("keep-shards");
+      return run_workers(campaign, options, fabric);
     }
     if (!options.resume) refuse_existing(out, "output file");
     return run_campaign_to(campaign, options);
