@@ -251,10 +251,11 @@ class ExpectedTimeModel {
   /// Row lookup, filling the slot on first access. Every hot-path probe
   /// uses an even j (allocations are processor pairs), so even columns
   /// live in a dense row indexed by j / 2 — half the footprint of a
-  /// j-indexed row, and rows grow to the deepest probed j, which
-  /// Algorithm 1's full-pool lookahead pushes to ~p for every task. Odd
-  /// j (sequential baselines, tests) goes to a separate table that stays
-  /// empty during simulations.
+  /// j-indexed row. Rows grow to the deepest probed j: the allocations
+  /// granted plus the heuristics' scan depth, since Algorithm 1's
+  /// lookahead reads only the next entry off a plateau
+  /// (TrEvaluator::Column::improvable). Odd j (sequential baselines,
+  /// tests) goes to a separate table that stays empty during simulations.
   const Coeffs& coeffs(int task, int j) const {
     COREDIS_EXPECTS(task >= 0 && task < pack_->size());
     COREDIS_EXPECTS(j >= 1);
@@ -326,8 +327,8 @@ class ExpectedTimeModel {
 /// j at a fixed alpha (the greedy loops probe ascending j at the alpha they
 /// froze for the current event, so the prefix fills once and every further
 /// probe is O(1)). Three alpha slots are kept per task: slot 0 is pinned
-/// to alpha = 1.0 — the full-work column that Algorithm 1 probes deeply at
-/// the start of *every* run, so it survives the whole simulation and every
+/// to alpha = 1.0 — the full-work column that Algorithm 1 reads at the
+/// start of *every* run, so it survives the whole simulation and every
 /// subsequent run of the same engine — and the other two hold the
 /// committed alpha_i and the tentative alpha^t_i that IteratedGreedy
 /// evaluates for the same task within one event (Alg. 5 lines 16-17).
@@ -383,6 +384,28 @@ class TrEvaluator {
         }
       }
       return pm[want - 1];
+    }
+
+    /// Algorithm 1's line-9 lookahead, shared by every greedy grant loop:
+    /// would some even allocation in (current, pmax] beat tr(current)?
+    /// Requires even current and current + 2 <= pmax <= max_processors.
+    ///
+    /// Answered from the next column entry (DESIGN.md section 6.2): the
+    /// column is the Eq. 6 prefix-min, so tr(pmax) <= tr(current + 2) and
+    /// tr(current) > tr(current + 2) already proves tr(current) >
+    /// tr(pmax). Only a plateau, tr(current + 2) == tr(current), needs the
+    /// deep tr(pmax) read. Grant loops read tr(current + 2) next anyway,
+    /// so a grant costs no extra probe and the column grows only to the
+    /// allocations actually granted. The boolean equals the full-pool
+    /// tr(current) > tr(pmax) for every column, NaN and inf included: a
+    /// leading NaN survives std::min, so both forms are false on it.
+    [[nodiscard]] bool improvable(int current, int pmax) const {
+      COREDIS_EXPECTS(current >= 2 && current % 2 == 0 &&
+                      current + 2 <= pmax);
+      const double now = (*this)(current);
+      const double next = (*this)(current + 2);
+      if (!(now == next)) return now > next;
+      return now > (*this)(pmax);  // plateau: ask the whole pool
     }
 
     /// Read-only view of the underlying Eq. 6 prefix-min array (entry h

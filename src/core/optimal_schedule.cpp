@@ -60,7 +60,7 @@ std::vector<int> optimal_schedule(const ExpectedTimeModel& model,
       // Line 9 lookahead: can this task be improved at all with everything
       // still in the pool? (Eq. 6 clamping makes the evaluator monotone, so
       // equality means no allocation in (current, pmax] helps.)
-      if (!(tr(current) > tr(pmax))) {
+      if (!tr.improvable(current, pmax)) {
         // Keep the remaining processors for future redistributions.
         if (!granted) return sigma;  // the longest task is stuck: stop
         break;

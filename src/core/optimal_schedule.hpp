@@ -11,6 +11,11 @@
 /// improved even with *all* remaining processors (line 9's lookahead test),
 /// the loop stops and the leftover processors stay available for later
 /// redistributions. Complexity O(p log n).
+///
+/// The lookahead is TrEvaluator::Column::improvable: it reads the next
+/// Eq. 6 column entry and goes to the full pool only on a plateau, so a
+/// task's alpha = 1 column is filled to the allocation it is granted (plus
+/// one pool-deep read for the task that stops the loop), not to ~p.
 
 #include <vector>
 

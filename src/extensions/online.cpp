@@ -305,7 +305,7 @@ OnlineResult run_online(const core::Pack& pack,
         while (available >= 2) {
           const int current = target[k];
           const int pmax = current + available - available % 2;
-          if (!(tr(current) > tr(pmax))) {
+          if (!tr.improvable(current, pmax)) {
             stuck = !granted;
             break;
           }
@@ -334,7 +334,7 @@ OnlineResult run_online(const core::Pack& pack,
         const int pmax = current + available - available % 2;
         const core::TrEvaluator::Column tr =
             evaluator.column(live[k], alpha_now[k]);
-        if (tr(current) > tr(pmax)) {
+        if (tr.improvable(current, pmax)) {
           target[k] = current + 2;
           queue.push({tr(current + 2), head.job});
           available -= 2;

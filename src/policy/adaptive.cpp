@@ -72,7 +72,7 @@ void greedy_targets(core::TrEvaluator& evaluator, const std::vector<int>& live,
         std::min(current + available - available % 2, caps[k]);
     const core::TrEvaluator::Column tr =
         evaluator.column(live[k], alpha_now[k]);
-    if (tr(current) > tr(pmax)) {
+    if (tr.improvable(current, pmax)) {
       target[k] = current + 2;
       queue.push({tr(current + 2), head.job});
       available -= 2;

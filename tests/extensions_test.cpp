@@ -19,6 +19,7 @@
 #include "extensions/silent_errors.hpp"
 #include "extensions/silent_sim.hpp"
 #include "fault/exponential.hpp"
+#include "full_lookahead.hpp"
 #include "speedup/synthetic.hpp"
 #include "speedup/table_profile.hpp"
 #include "util/units.hpp"
@@ -472,6 +473,86 @@ TEST(OnlineArrivals, BatchBackfillsAReleaseDatedCandidate) {
   EXPECT_EQ(fcfs.backfilled_jobs, 0);
   EXPECT_GE(fcfs.start_times[2], fcfs.start_times[1]);
 }
+
+/// Both online replans — the incremental repair and the eager rebuild —
+/// against the full-lookahead oracle (full_lookahead.hpp) on a large
+/// pool: n = 50, p = 4000, a fault-aware model and an empty fault
+/// stream, so every replan is a pure function of the greedy.
+///
+///  * Simultaneous release: the t = 0 replan sizes all 50 jobs at
+///    alpha = 1, so the first job to finish ran on its oracle target for
+///    exactly simulated_duration(i, target, 1) — and the two replan
+///    paths must agree on the whole run.
+///  * Solo releases: each job arrives after the previous one finished and
+///    replans alone over the whole pool, where it stops at its Eq. 6
+///    optimum — the plateau on which only the deep tr(pmax) read decides
+///    — so every final allocation is an oracle target.
+class OnlineReplanOracle : public ::testing::TestWithParam<bool> {
+ protected:
+  static constexpr int kJobs = 50;
+  static constexpr int kProcessors = 4000;
+
+  OnlineReplanOracle()
+      : pack_(make_random_pack()), resilience_(online_resilience(1.0)) {}
+
+  static core::Pack make_random_pack() {
+    Rng rng(4000);
+    return core::Pack::uniform_random(
+        kJobs, 1.5e6, 2.5e6, std::make_shared<speedup::SyntheticModel>(0.08),
+        rng);
+  }
+
+  OnlineResult run(const std::vector<double>& releases) const {
+    fault::NullGenerator none(kProcessors);
+    OnlineOptions options;
+    options.eager_replan = GetParam();
+    return run_online(pack_, resilience_, kProcessors, releases, none,
+                      options);
+  }
+
+  core::Pack pack_;
+  checkpoint::Model resilience_;
+};
+
+TEST_P(OnlineReplanOracle, SimultaneousReplanMatchesOracle) {
+  const OnlineResult result = run(std::vector<double>(kJobs, 0.0));
+  const core::ExpectedTimeModel model(pack_, resilience_);
+  const oracle::FirstFinish first =
+      oracle::simultaneous_first_finish(model, kProcessors);
+  EXPECT_EQ(*std::min_element(result.completion_times.begin(),
+                              result.completion_times.end()),
+            first.time);
+  EXPECT_EQ(result.completion_times[first.job], first.time);
+  EXPECT_EQ(result.final_allocation[first.job], first.target);
+
+  OnlineOptions other;
+  other.eager_replan = !GetParam();
+  fault::NullGenerator none(kProcessors);
+  const OnlineResult twin = run_online(pack_, resilience_, kProcessors,
+                                       std::vector<double>(kJobs, 0.0), none,
+                                       other);
+  EXPECT_EQ(result.completion_times, twin.completion_times);
+  EXPECT_EQ(result.final_allocation, twin.final_allocation);
+  EXPECT_EQ(result.redistributions, twin.redistributions);
+  EXPECT_EQ(result.redistribution_cost, twin.redistribution_cost);
+  EXPECT_EQ(result.busy_processor_seconds, twin.busy_processor_seconds);
+}
+
+TEST_P(OnlineReplanOracle, SoloReplansMatchOracle) {
+  std::vector<double> releases(kJobs);
+  for (int i = 0; i < kJobs; ++i)
+    releases[static_cast<std::size_t>(i)] = 1.0e9 * i;
+  const OnlineResult result = run(releases);
+  EXPECT_EQ(result.redistributions, 0);
+
+  const core::ExpectedTimeModel model(pack_, resilience_);
+  const oracle::FullLookahead solo = oracle::solo_targets(model, kProcessors);
+  EXPECT_EQ(result.final_allocation, solo.targets);
+  EXPECT_GT(solo.plateaus, 0) << "no replan reached the deep-read branch";
+}
+
+INSTANTIATE_TEST_SUITE_P(IncrementalAndEager, OnlineReplanOracle,
+                         ::testing::Bool());
 
 TEST(OnlineArrivals, ZeroReleaseBatchMatchesLegacyOverload) {
   // The static-release overload must reproduce the release-dated path

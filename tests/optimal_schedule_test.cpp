@@ -1,10 +1,13 @@
 /// Tests of Algorithm 1 (optimal schedule without redistribution):
 /// feasibility invariants, behavior on homogeneous/heterogeneous packs,
-/// and — the Theorem 1 certification — equality with an exhaustive search
-/// over all even allocations on small instances.
+/// the Theorem 1 certification — equality with an exhaustive search over
+/// all even allocations on small instances — and the line-9 lookahead
+/// short-circuit: identical schedules to the full-pool oracle of
+/// full_lookahead.hpp, with columns filled only to the granted depth.
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <gtest/gtest.h>
 #include <memory>
 #include <numeric>
@@ -15,6 +18,8 @@
 
 #include "complexity/moldable.hpp"
 #include "core/optimal_schedule.hpp"
+#include "full_lookahead.hpp"
+#include "speedup/amdahl.hpp"
 #include "speedup/synthetic.hpp"
 #include "util/units.hpp"
 
@@ -154,6 +159,89 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, Theorem1Certification,
     ::testing::Combine(::testing::Values(4, 6, 8, 10, 12, 16),
                        ::testing::Values(100.0, 10.0, 1.0)));
+
+/// Algorithm 1 on its own evaluator against the full-lookahead oracle on
+/// a second, independent model: the short-circuited line 9 must return
+/// the same sigma on every pack, platform (odd p included), resilience
+/// context and speedup profile of the grid. The oracle fills every
+/// popped column to the whole pool, O(n·p) records, so n = 1000 stops at
+/// p = 5001; the smaller packs sweep p up to 20001. Small packs on big
+/// platforms reach their Eq. 6 optimum, the plateau where only the deep
+/// tr(pmax) read decides; the grid must hit it.
+TEST(OptimalSchedule, MatchesFullLookaheadOracle) {
+  const std::vector<std::shared_ptr<const speedup::Model>> profiles = {
+      std::make_shared<speedup::SyntheticModel>(0.08),
+      std::make_shared<speedup::SyntheticModel>(0.3),
+      std::make_shared<speedup::AmdahlModel>(0.0),
+      std::make_shared<speedup::AmdahlModel>(0.08),
+  };
+  const std::vector<double> mtbf_years = {0.0, 100.0, 1.0};  // 0: fault-free
+  constexpr long long kOracleCells = 5'100'000;  // n·p bound on the oracle
+  long long plateaus = 0;
+  long long cases = 0;
+  for (const int n : {1, 2, 10, 100, 1000}) {
+    for (const int p : {2 * n, 2 * n + 1, 3 * n + 1, 10 * n + 1, 5001,
+                        10000, 20001}) {
+      if (p < 2 * n || static_cast<long long>(n) * p > kOracleCells) continue;
+      for (std::size_t f = 0; f < profiles.size(); ++f) {
+        for (const double mtbf : mtbf_years) {
+          SCOPED_TRACE(::testing::Message() << "n=" << n << " p=" << p
+                                            << " profile=" << f
+                                            << " mtbf=" << mtbf);
+          Rng rng(static_cast<std::uint64_t>(n) * 1'000'003ULL +
+                  static_cast<std::uint64_t>(p) * 7ULL + f);
+          const Pack pack =
+              Pack::uniform_random(n, 1.5e6, 2.5e6, profiles[f], rng);
+          const checkpoint::Model resilience(
+              {mtbf > 0.0 ? units::years(mtbf) : 0.0, 60.0, 1.0,
+               checkpoint::PeriodRule::Young, 0.0});
+
+          const ExpectedTimeModel model(pack, resilience);
+          const std::vector<int> sigma = optimal_schedule(model, p);
+
+          const ExpectedTimeModel oracle_model(pack, resilience);
+          TrEvaluator oracle_evaluator(oracle_model, p - p % 2);
+          std::vector<int> tasks(static_cast<std::size_t>(n));
+          std::iota(tasks.begin(), tasks.end(), 0);
+          const oracle::FullLookahead oracle = oracle::full_lookahead_targets(
+              oracle_evaluator, tasks,
+              std::vector<double>(static_cast<std::size_t>(n), 1.0),
+              p - 2 * n);
+          ASSERT_EQ(sigma, oracle.targets);
+          plateaus += oracle.plateaus;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 250);
+  EXPECT_GT(plateaus, 0) << "the grid never reached the deep-read branch";
+}
+
+/// The fill-depth guard: on the cold n = 1000, p = 10000 point, where the
+/// whole pool is handed out, Algorithm 1 must leave every task's
+/// alpha = 1 column exactly as deep as its allocation — one prefix entry
+/// per granted pair. A full-pool lookahead fills ~3.5M entries here.
+TEST(OptimalSchedule, ColumnsFillOnlyToTheGrantedAllocation) {
+  constexpr int n = 1000;
+  constexpr int p = 10000;
+  Rng rng(3);
+  const Pack pack = Pack::uniform_random(
+      n, 1.5e6, 2.5e6, std::make_shared<speedup::SyntheticModel>(0.08), rng);
+  const checkpoint::Model resilience = faulty_model(100.0);
+  const ExpectedTimeModel model(pack, resilience);
+  TrEvaluator evaluator(model, p);
+  const std::vector<int> sigma = optimal_schedule(model, p, evaluator);
+  ASSERT_EQ(std::accumulate(sigma.begin(), sigma.end(), 0), p);
+
+  std::size_t pairs = 0;
+  std::size_t filled = 0;
+  for (int i = 0; i < n; ++i) {
+    pairs += static_cast<std::size_t>(sigma[static_cast<std::size_t>(i)] / 2);
+    filled += evaluator.column(i, 1.0).prefix().size();
+  }
+  EXPECT_EQ(filled, pairs);
+}
 
 }  // namespace
 }  // namespace coredis::core

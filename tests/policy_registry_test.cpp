@@ -12,21 +12,30 @@
 ///  * the adaptive policies (bandit, reshape): deterministic in
 ///    (point seed, rep) — identical cells across repeated runs, across
 ///    thread counts (GridRunOptions::threads and COREDIS_THREADS), and
-///    across the shard+merge fabric.
+///    across the shard+merge fabric — and their greedy replans equal to
+///    the full-lookahead oracle of full_lookahead.hpp on a large pool.
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <gtest/gtest.h>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "exp/campaign.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/scenario_file.hpp"
+#include "fault/generator.hpp"
+#include "full_lookahead.hpp"
 #include "policy/registry.hpp"
+#include "speedup/synthetic.hpp"
+#include "util/units.hpp"
 
 namespace coredis::exp {
 namespace {
@@ -305,6 +314,77 @@ TEST(PolicyAdaptiveDeterminism, OfflineWorkloadsRunToo) {
     for (double t : r.completion_times) EXPECT_GT(t, 0.0);
   }
 }
+
+// ---- adaptive policies: greedy replans vs the full-lookahead oracle ------
+
+/// policy/adaptive.cpp's greedy_targets — the line-9 site every bandit
+/// and reshape replan goes through — against the oracle on a large pool
+/// (n = 50, p = 4000, fault-aware model, empty fault stream), with the
+/// two workloads of extensions_test's OnlineReplanOracle: a simultaneous
+/// release, whose first finisher ran its t = 0 oracle target from the
+/// start, and solo releases, where each job replans alone up to its
+/// Eq. 6 optimum (the deep-read plateau).
+class AdaptiveReplanOracle : public ::testing::TestWithParam<const char*> {
+ protected:
+  static constexpr int kJobs = 50;
+  static constexpr int kProcessors = 4000;
+
+  AdaptiveReplanOracle()
+      : pack_(make_random_pack()),
+        resilience_({units::years(1.0), 60.0, 1.0,
+                     checkpoint::PeriodRule::Young, 0.0}) {}
+
+  static core::Pack make_random_pack() {
+    Rng rng(4000);
+    return core::Pack::uniform_random(
+        kJobs, 1.5e6, 2.5e6, std::make_shared<speedup::SyntheticModel>(0.08),
+        rng);
+  }
+
+  core::RunResult run(const std::vector<double>& releases) const {
+    core::Engine engine(pack_, resilience_, kProcessors);
+    fault::NullGenerator none(kProcessors);
+    const std::function<const std::vector<double>&()> release_times =
+        [&]() -> const std::vector<double>& { return releases; };
+    const policy::CellContext ctx{pack_,           resilience_,
+                                  kProcessors,     none,
+                                  engine.model(),  engine.evaluator(),
+                                  engine,          release_times,
+                                  0};
+    return policy::resolve(GetParam()).make()->run(ctx);
+  }
+
+  core::Pack pack_;
+  checkpoint::Model resilience_;
+};
+
+TEST_P(AdaptiveReplanOracle, SimultaneousReplanMatchesOracle) {
+  const core::RunResult result = run(std::vector<double>(kJobs, 0.0));
+  const core::ExpectedTimeModel model(pack_, resilience_);
+  const oracle::FirstFinish first =
+      oracle::simultaneous_first_finish(model, kProcessors);
+  EXPECT_EQ(*std::min_element(result.completion_times.begin(),
+                              result.completion_times.end()),
+            first.time);
+  EXPECT_EQ(result.completion_times[first.job], first.time);
+  EXPECT_EQ(result.final_allocation[first.job], first.target);
+}
+
+TEST_P(AdaptiveReplanOracle, SoloReplansMatchOracle) {
+  std::vector<double> releases(kJobs);
+  for (int i = 0; i < kJobs; ++i)
+    releases[static_cast<std::size_t>(i)] = 1.0e9 * i;
+  const core::RunResult result = run(releases);
+  EXPECT_EQ(result.redistributions, 0);
+
+  const core::ExpectedTimeModel model(pack_, resilience_);
+  const oracle::FullLookahead solo = oracle::solo_targets(model, kProcessors);
+  EXPECT_EQ(result.final_allocation, solo.targets);
+  EXPECT_GT(solo.plateaus, 0) << "no replan reached the deep-read branch";
+}
+
+INSTANTIATE_TEST_SUITE_P(BanditAndReshape, AdaptiveReplanOracle,
+                         ::testing::Values("bandit", "reshape"));
 
 }  // namespace
 }  // namespace coredis::exp
