@@ -488,15 +488,14 @@ JsonlScan open_record_sink(std::ofstream& sink, const std::string& path,
 /// Execution core shared by run_grid and DealWorker: compute global
 /// cells [first, first + count), appending each record to `sink` (null:
 /// in-memory only) and retiring cells in index order through `fold`.
-/// Cost-guided LPT feed (DESIGN.md section 12.1): with
-/// CellOrder::CostLpt the worker pool receives the predicted-longest
-/// remaining cells first and every completed cell's wall-clock is timed
-/// back into the model. The permutation only decides who computes what
-/// when — the committer still retires cells in index order, so the
-/// ordering cannot reach one output byte. LPT does grow the committer's
-/// out-of-order backlog (cheap cells finish long before the expensive
-/// low-index ones retire); that backlog is exactly what the spill
-/// backend bounds.
+/// Cost-guided LPT feed (DESIGN.md sections 12.1 and 12.2): the worker
+/// pool's shared counter hands out the predicted-longest remaining cells
+/// first and every completed cell's wall-clock is timed back into the
+/// model. The permutation only decides who computes what when — the
+/// committer still retires cells in index order, so the ordering cannot
+/// reach one output byte. LPT does grow the committer's out-of-order
+/// backlog (cheap cells finish long before the expensive low-index ones
+/// retire); that backlog is exactly what the spill backend bounds.
 void execute_span(const std::vector<Scenario>& points,
                   const std::vector<ConfigSpec>& configs,
                   const CellQueue& queue, std::size_t first, std::size_t count,
@@ -506,39 +505,34 @@ void execute_span(const std::vector<Scenario>& points,
       options.storage, options.storage_dir, options.spill_ram_budget_bytes);
   OrderedCommitter committer(sink, first, *spill, configs, fold);
   if (count > 0) {
-    const bool lpt = options.order == CellOrder::CostLpt;
     std::unique_ptr<CostModel> own_model;
     CostModel* model = options.cost_model;
-    if (lpt && model == nullptr) {
+    if (model == nullptr) {
       own_model = std::make_unique<CostModel>(points, configs);
       model = own_model.get();
     }
-    std::vector<std::size_t> order;
-    if (lpt) order = lpt_cell_order(*model, queue, first, count);
-    ParallelOptions parallel;
-    parallel.threads = options.threads;
-    parallel.schedule = options.schedule;
+    const std::vector<std::size_t> order =
+        lpt_cell_order(*model, queue, first, count);
     parallel_for(
         count,
         [&](std::size_t index) {
-          const std::size_t k = first + (lpt ? order[index] : index);
+          const std::size_t k = first + order[index];
           const CellRef ref = queue.at(k);
           const auto start = std::chrono::steady_clock::now();
           const CellResult result =
               run_cell(points[ref.point], configs, ref.rep, options.dispatch);
-          if (model != nullptr)
-            model->observe(
-                ref.point,
-                std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              start)
-                    .count());
+          model->observe(
+              ref.point,
+              std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            start)
+                  .count());
           // Per-worker reusable line buffer (the committer copies only
           // what it must spill).
           thread_local std::string line;
           cell_line(k, ref.point, ref.rep, result, configs, line);
           committer.commit(k, result, line);
         },
-        parallel);
+        options.threads);
   }
   COREDIS_EXPECTS(committer.drained());
 }
@@ -689,27 +683,6 @@ Campaign load_campaign(const std::string& path, Scenario base) {
 }
 
 // --- orchestration --------------------------------------------------------
-
-CellOrder parse_cell_order(const std::string& text) {
-  const std::string value = lower(trim(text));
-  if (value == "index") return CellOrder::Index;
-  if (value == "lpt") return CellOrder::CostLpt;
-  throw std::runtime_error("cell order must be index or lpt (got '" + text +
-                           "')");
-}
-
-Schedule grid_default_schedule() {
-  return affinity_sharding_default() ? Schedule::Static : Schedule::Stealing;
-}
-
-Schedule parse_schedule(const std::string& text) {
-  const std::string value = lower(trim(text));
-  if (value == "dynamic") return Schedule::Dynamic;
-  if (value == "static") return Schedule::Static;
-  if (value == "stealing") return Schedule::Stealing;
-  throw std::runtime_error(
-      "schedule must be dynamic, static or stealing (got '" + text + "')");
-}
 
 std::vector<PointResult> run_grid(const std::vector<Scenario>& points,
                                   const std::vector<ConfigSpec>& configs,

@@ -57,7 +57,6 @@
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/storage.hpp"
-#include "util/parallel.hpp"
 
 namespace coredis::exp {
 
@@ -112,32 +111,6 @@ struct Campaign {
 [[nodiscard]] Campaign load_campaign(const std::string& path,
                                      Scenario base = {});
 
-/// Execution order of a grid's remaining cells. Pure scheduling: the
-/// committer retires cells in index order whatever runs first, so the
-/// choice cannot reach one output byte (the battery cmp-locks this).
-enum class CellOrder {
-  /// Flat ascending cell index — the frozen pre-cost-model behavior.
-  Index,
-  /// Longest-predicted-first from an exp::CostModel (cost_model.hpp):
-  /// the most expensive cells start first, so with any balancing
-  /// schedule the makespan tail is one cell, not one unlucky point.
-  /// A homogeneous grid degenerates to Index order exactly.
-  CostLpt,
-};
-
-/// Parse "index" | "lpt" (case-insensitive); throws std::runtime_error
-/// naming the value otherwise.
-[[nodiscard]] CellOrder parse_cell_order(const std::string& text);
-
-/// The campaign cell loop's default parallel_for schedule: Stealing,
-/// unless COREDIS_AFFINITY=1 opted into the pinned Static schedule
-/// (an explicit operator request outranks the balancing default).
-[[nodiscard]] Schedule grid_default_schedule();
-
-/// Parse "dynamic" | "static" | "stealing" (case-insensitive); throws
-/// std::runtime_error naming the value otherwise.
-[[nodiscard]] Schedule parse_schedule(const std::string& text);
-
 struct GridRunOptions {
   /// Stream each completed cell as one JSON record to this file (plus a
   /// leading header record); empty keeps results in memory only.
@@ -160,15 +133,11 @@ struct GridRunOptions {
   /// policy registry (production) or the frozen pre-registry switch.
   /// The differential battery cmp-locks the two paths' artifacts.
   DispatchPath dispatch = DispatchPath::Registry;
-  /// Cell execution order (scheduling only — invisible in all outputs).
-  CellOrder order = CellOrder::CostLpt;
-  /// parallel_for schedule for the cell loop (util/parallel.hpp).
-  Schedule schedule = grid_default_schedule();
-  /// Cost model to steer CostLpt and refine from completed-cell
-  /// timings. Null builds a fresh per-run model; a caller-owned model
-  /// (must outlive the run and cover the same grid points) accumulates
-  /// refinement across runs — the cross-process dealer threads one
-  /// model through every block it hands out.
+  /// Cost model to steer the longest-first cell feed and refine from
+  /// completed-cell timings. Null builds a fresh per-run model; a
+  /// caller-owned model (must outlive the run and cover the same grid
+  /// points) accumulates refinement across runs — the cross-process
+  /// dealer threads one model through every block it hands out.
   CostModel* cost_model = nullptr;
 };
 
@@ -257,8 +226,8 @@ class DealWorker {
   [[nodiscard]] std::size_t resumed_records() const noexcept;
 
   /// Compute the cells of [begin, end) this worker's file does not hold
-  /// yet and append their records. Within the block the configured
-  /// order/schedule apply; records retire in cell order regardless.
+  /// yet and append their records. Within the block cells run
+  /// longest-predicted-first; records retire in cell order regardless.
   /// Throws on I/O failure (the coordinator treats a dead worker and a
   /// thrown worker alike: re-deal).
   void run_block(std::size_t begin, std::size_t end);

@@ -2,11 +2,12 @@
 
 /// \file builtin.hpp
 /// The pre-registry schedulers as registered policies: the paper's pack
-/// engine (every core::EngineConfig knob as a typed option), the online
-/// malleable scheduler and the EASY/FCFS batch baselines. Resolving one
-/// of these and running it over a cell's warm state is byte-identical
-/// to the legacy SchedulerKind dispatch — the differential battery
-/// (tests/policy_registry_test.cpp) cmp-locks the campaign artifacts.
+/// engine (every user-facing core::EngineConfig knob as a typed
+/// option), the online malleable scheduler and the EASY/FCFS batch
+/// baselines. Resolving one of these and running it over a cell's warm
+/// state is byte-identical to the legacy SchedulerKind dispatch — the
+/// differential battery (tests/policy_registry_test.cpp) cmp-locks the
+/// campaign artifacts.
 
 #include <string>
 
@@ -20,7 +21,9 @@ void register_builtin_policies();
 /// The canonical `pack(...)` policy string for an engine configuration:
 /// `pack` when every knob is at its default, otherwise the non-default
 /// knobs in option order. exp::canonical_policy uses this to give every
-/// legacy ConfigSpec a registry spelling.
+/// legacy ConfigSpec a registry spelling. Precondition: the test-only
+/// reference paths (EngineConfig::linear_event_scan, eager_scans) are
+/// off — they have no policy spelling.
 [[nodiscard]] std::string pack_canonical(const core::EngineConfig& config);
 
 }  // namespace coredis::policy

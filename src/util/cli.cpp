@@ -1,10 +1,12 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 
 namespace coredis {
 
@@ -56,27 +58,32 @@ std::string CliParser::get_string(std::string_view name,
   return std::string(fallback);
 }
 
+namespace {
+
+/// Strict whole-token parse: the value must be exactly one number — no
+/// leading blanks, no trailing characters, in range — so `--threads 2x`
+/// or `--spill-mb 3.9` fail loudly instead of running as 2 or 3.
+template <typename T>
+T parse_whole(std::string_view name, const std::string& value,
+              const char* expects) {
+  T parsed{};
+  const char* end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  if (value.empty() || error != std::errc{} || stop != end)
+    throw std::invalid_argument("--" + std::string(name) + " expects " +
+                                expects + ", got '" + value + "'");
+  return parsed;
+}
+
+}  // namespace
+
 long CliParser::get_int(std::string_view name, long fallback) const {
-  if (auto v = get(name)) {
-    try {
-      return std::stol(*v);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("--" + std::string(name) +
-                                  " expects an integer, got '" + *v + "'");
-    }
-  }
+  if (auto v = get(name)) return parse_whole<long>(name, *v, "an integer");
   return fallback;
 }
 
 double CliParser::get_double(std::string_view name, double fallback) const {
-  if (auto v = get(name)) {
-    try {
-      return std::stod(*v);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("--" + std::string(name) +
-                                  " expects a number, got '" + *v + "'");
-    }
-  }
+  if (auto v = get(name)) return parse_whole<double>(name, *v, "a number");
   return fallback;
 }
 

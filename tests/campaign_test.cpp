@@ -828,45 +828,33 @@ TEST(CampaignSummarize, MatchesTheRunThatProducedTheFile) {
   std::filesystem::remove(path);
 }
 
-// --- scheduling knobs: pure scheduling, zero output bytes -----------------
+// --- the cell loop: pure scheduling, zero output bytes -------------------
 
-TEST(CampaignSchedule, EveryScheduleOrderAndThreadCountSameBytes) {
-  const Campaign campaign = parse_campaign(kSmokeCampaign);
-  std::string reference;
-  const auto check = [&](const std::string& tag, Schedule schedule,
-                         CellOrder order) {
-    const auto path = temp_jsonl("schedule_" + tag);
-    std::filesystem::remove(path);
-    GridRunOptions options;
-    options.jsonl_path = path.string();
-    options.schedule = schedule;
-    options.order = order;
-    (void)run_campaign(campaign, options);
-    const std::string content = read_file(path);
-    if (reference.empty()) {
-      reference = content;
-    } else {
-      EXPECT_EQ(content, reference) << tag;
+TEST(CampaignSchedule, EveryThreadCountSameBytes) {
+  // The smoke grid, plus one whose n axis spreads predicted cell costs so
+  // the longest-first feed really permutes the cells.
+  for (const char* text :
+       {kSmokeCampaign,
+        "n = 4, 12\np = 48\nruns = 3\nseed = 7\nconfigs = baseline, "
+        "ig_local\n"}) {
+    const Campaign campaign = parse_campaign(text);
+    std::string reference;
+    for (const char* threads : {"1", "2", "3", "8"}) {
+      const ThreadsEnv env(threads);
+      const auto path = temp_jsonl(std::string("schedule_t") + threads);
+      std::filesystem::remove(path);
+      GridRunOptions options;
+      options.jsonl_path = path.string();
+      (void)run_campaign(campaign, options);
+      const std::string content = read_file(path);
+      if (reference.empty()) {
+        reference = content;
+      } else {
+        EXPECT_EQ(content, reference) << "COREDIS_THREADS=" << threads;
+      }
+      std::filesystem::remove(path);
     }
-    std::filesystem::remove(path);
-  };
-  // The acceptance matrix: the stealing schedule across COREDIS_THREADS
-  // 1, 2 and 8, both cell orders...
-  for (const char* threads : {"1", "2", "8"}) {
-    const ThreadsEnv env(threads);
-    check(std::string("steal_t") + threads, Schedule::Stealing,
-          CellOrder::CostLpt);
-    check(std::string("steal_index_t") + threads, Schedule::Stealing,
-          CellOrder::Index);
   }
-  // ...and every other schedule x order combination at a fixed count.
-  const ThreadsEnv env("3");
-  for (const Schedule schedule :
-       {Schedule::Dynamic, Schedule::Static, Schedule::Stealing})
-    for (const CellOrder order : {CellOrder::Index, CellOrder::CostLpt})
-      check("grid" + std::to_string(static_cast<int>(schedule)) +
-                std::to_string(static_cast<int>(order)),
-            schedule, order);
 }
 
 // --- dynamic dealing ------------------------------------------------------

@@ -179,16 +179,6 @@ TEST(LptOrder, ReordersAfterObservationsFlipTheRanking) {
   EXPECT_EQ(order, expected);
 }
 
-TEST(GridRunOptionsKnobs, ParseOrderAndSchedule) {
-  EXPECT_EQ(parse_cell_order("index"), CellOrder::Index);
-  EXPECT_EQ(parse_cell_order("LPT"), CellOrder::CostLpt);
-  EXPECT_THROW((void)parse_cell_order("random"), std::runtime_error);
-  EXPECT_EQ(parse_schedule("dynamic"), Schedule::Dynamic);
-  EXPECT_EQ(parse_schedule("static"), Schedule::Static);
-  EXPECT_EQ(parse_schedule("Stealing"), Schedule::Stealing);
-  EXPECT_THROW((void)parse_schedule("chase-lev"), std::runtime_error);
-}
-
 TEST(GridRunFeedsTheModel, EveryCellObservedOnce) {
   const Campaign campaign =
       parse_campaign("n = 4, 8\np = 16\nruns = 3\nconfigs = baseline\n");

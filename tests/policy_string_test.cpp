@@ -13,7 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "core/types.hpp"
 #include "exp/scenario.hpp"
+#include "policy/builtin.hpp"
 #include "policy/options.hpp"
 #include "policy/registry.hpp"
 #include "util/rng.hpp"
@@ -167,6 +169,13 @@ TEST(PolicyStringErrors, UnknownKeysListTheAcceptedOnesForEveryPolicy) {
   }
 }
 
+TEST(PolicyStringErrors, TestOraclesHaveNoPolicySpelling) {
+  // The from-scratch reference paths live in the tests, not the grammar.
+  expect_error("pack(linear_scan=true)", {"pack", "linear_scan"});
+  expect_error("pack(eager_scans=true)", {"pack", "eager_scans"});
+  expect_error("malleable(eager_replan=true)", {"malleable", "eager_replan"});
+}
+
 TEST(PolicyStringErrors, UnknownPolicyListsTheRegisteredNames) {
   std::vector<std::string> fragments = {"unknown policy", "zzz"};
   for (const PolicyInfo& info : registered_policies())
@@ -197,6 +206,21 @@ TEST(PolicyRegistry, ListingCoversEveryPolicyWithTypedOptions) {
           table.find("`" + spec.name + "=" + spec.default_value + "`"),
           std::string::npos);
   }
+}
+
+TEST(PolicyRegistry, PackCanonicalRefusesTestOracleFlags) {
+  // A legacy spec carrying a reference-path flag has no registry
+  // spelling: canonicalizing it must fail loudly, not drop the flag.
+  core::EngineConfig config;
+  EXPECT_EQ(pack_canonical(config), "pack");
+  config.end_policy = core::EndPolicy::Greedy;
+  EXPECT_EQ(pack_canonical(config), "pack(end=greedy)");
+  core::EngineConfig linear = config;
+  linear.linear_event_scan = true;
+  EXPECT_DEATH((void)pack_canonical(linear), "precondition");
+  core::EngineConfig eager = config;
+  eager.eager_scans = true;
+  EXPECT_DEATH((void)pack_canonical(eager), "precondition");
 }
 
 TEST(PolicyRegistry, FindPolicyAndRegistrationGuards) {

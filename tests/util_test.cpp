@@ -185,9 +185,47 @@ TEST(ThreadBudget, SplitsTheMachineBudgetFairly) {
 }
 
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(1000, [&](std::size_t i) { hits[i].fetch_add(1); }, 4);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // Exactly-once across awkward (count, threads) pairs: counts that are
+  // not a multiple of the worker count, a single index, more threads
+  // than indices.
+  for (const std::size_t count :
+       {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{97},
+        std::size_t{1000}}) {
+    for (const std::size_t threads :
+         {std::size_t{2}, std::size_t{3}, std::size_t{4}, std::size_t{8},
+          std::size_t{13}}) {
+      std::vector<std::atomic<int>> hits(count);
+      parallel_for(count, [&](std::size_t i) { hits[i].fetch_add(1); },
+                   threads);
+      for (std::size_t i = 0; i < count; ++i)
+        EXPECT_EQ(hits[i].load(), 1)
+            << "i=" << i << " count=" << count << " threads=" << threads;
+    }
+  }
+}
+
+TEST(ParallelFor, StartsIndicesInIncreasingOrder) {
+  // The longest-first feed relies on it: workers claim indices from one
+  // increasing counter, so when index i starts, at most threads - 1
+  // smaller indices (claimed by the other workers, not yet started) can
+  // still be waiting.
+  // Each body sleeps so every worker is up before the first ones finish.
+  constexpr std::size_t kCount = 200;
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    std::atomic<std::size_t> ticket{0};
+    std::vector<std::size_t> started(kCount);
+    parallel_for(kCount,
+                 [&](std::size_t i) {
+                   started[i] = ticket++;
+                   std::this_thread::sleep_for(std::chrono::microseconds(50));
+                 },
+                 threads);
+    for (std::size_t i = 0; i < kCount; ++i) {
+      std::size_t late = 0;
+      for (std::size_t j = 0; j < i; ++j) late += started[j] > started[i];
+      EXPECT_LT(late, threads) << "i=" << i << " threads=" << threads;
+    }
+  }
 }
 
 TEST(ParallelFor, PropagatesExceptions) {
@@ -199,6 +237,13 @@ TEST(ParallelFor, PropagatesExceptions) {
           },
           4),
       std::runtime_error);
+  // Many throwing indices spread over the range, odd worker count.
+  EXPECT_THROW(parallel_for(64,
+                            [](std::size_t i) {
+                              if (i % 5 == 0) throw std::runtime_error("boom");
+                            },
+                            3),
+               std::runtime_error);
 }
 
 TEST(ParallelFor, ThrowingBodyStopsWorkersFromDrainingTheQueue) {
@@ -207,24 +252,27 @@ TEST(ParallelFor, ThrowingBodyStopsWorkersFromDrainingTheQueue) {
   // draining after the throw this test would take tens of seconds and
   // `executed` would approach `count`.
   constexpr std::size_t count = 20000;
-  std::atomic<int> executed{0};
-  const auto started = std::chrono::steady_clock::now();
-  EXPECT_THROW(
-      parallel_for(
-          count,
-          [&](std::size_t i) {
-            if (i == 0) throw std::runtime_error("boom");
-            executed.fetch_add(1);
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          },
-          8),
-      std::runtime_error);
-  const auto elapsed = std::chrono::steady_clock::now() - started;
-  // The workers in flight when index 0 threw may finish their current body
-  // and at most begin one more before observing the stop flag.
-  EXPECT_LT(executed.load(), 1000);
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(),
-            10);
+  for (const std::size_t threads : {std::size_t{3}, std::size_t{8}}) {
+    std::atomic<int> executed{0};
+    const auto started = std::chrono::steady_clock::now();
+    EXPECT_THROW(
+        parallel_for(
+            count,
+            [&](std::size_t i) {
+              if (i == 0) throw std::runtime_error("boom");
+              executed.fetch_add(1);
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            },
+            threads),
+        std::runtime_error);
+    const auto elapsed = std::chrono::steady_clock::now() - started;
+    // The workers in flight when index 0 threw may finish their current
+    // body and at most begin one more before observing the stop flag.
+    EXPECT_LT(executed.load(), 1000) << "threads=" << threads;
+    EXPECT_LT(
+        std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(), 10)
+        << "threads=" << threads;
+  }
 }
 
 TEST(ParallelFor, ConcurrentThrowsPropagateExactlyOneException) {
@@ -268,39 +316,14 @@ TEST(ParallelFor, SingleThreadFallback) {
   EXPECT_EQ(sum, 45);
 }
 
-TEST(ParallelFor, StealingVisitsEveryIndexExactlyOnce) {
-  // Exactly-once across awkward (count, threads) pairs: counts that do
-  // not tile the shard arithmetic, single-index shards, more threads
-  // than indices.
-  for (const std::size_t count :
-       {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{97},
-        std::size_t{1000}}) {
-    for (const std::size_t threads :
-         {std::size_t{2}, std::size_t{3}, std::size_t{8}, std::size_t{13}}) {
-      std::vector<std::atomic<int>> hits(count);
-      ParallelOptions options;
-      options.threads = threads;
-      options.schedule = Schedule::Stealing;
-      parallel_for(count, [&](std::size_t i) { hits[i].fetch_add(1); },
-                   options);
-      for (std::size_t i = 0; i < count; ++i)
-        EXPECT_EQ(hits[i].load(), 1)
-            << "i=" << i << " count=" << count << " threads=" << threads;
-    }
-  }
-}
-
-TEST(ParallelFor, StealingBalancesAFrontLoadedQueue) {
-  // A front-loaded cost profile under the stealing schedule: all the
-  // slow indices sit in the low shards. The gate only requires the loop
-  // to land far under the 64 ms a serialized slow half would cost —
-  // catching a stealing bug that degenerates to one worker — with a
-  // wide margin so the test stays robust on loaded runners.
+TEST(ParallelFor, BalancesAFrontLoadedQueue) {
+  // A front-loaded cost profile: all the slow indices come first, the
+  // order an LPT-fed caller produces. The gate only requires the loop to
+  // land far under the 64 ms a serialized slow half would cost —
+  // catching a schedule that degenerates to one worker — with a wide
+  // margin so the test stays robust on loaded runners.
   constexpr std::size_t kCount = 64;
   std::vector<std::atomic<int>> hits(kCount);
-  ParallelOptions options;
-  options.threads = 8;
-  options.schedule = Schedule::Stealing;
   const auto started = std::chrono::steady_clock::now();
   parallel_for(kCount,
                [&](std::size_t i) {
@@ -308,34 +331,15 @@ TEST(ParallelFor, StealingBalancesAFrontLoadedQueue) {
                    std::this_thread::sleep_for(std::chrono::milliseconds(2));
                  hits[i].fetch_add(1);
                },
-               options);
+               8);
   const auto elapsed = std::chrono::steady_clock::now() - started;
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  // Sequential slow half is 64 ms; eight stealing workers should land
-  // far under half of that even on a noisy single-core runner we only
-  // require "meaningfully better than sequential".
+  // Sequential slow half is 64 ms; eight workers should land far under
+  // half of that, but even on a noisy single-core runner we only require
+  // "meaningfully better than sequential".
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             60);
-}
-
-TEST(ParallelFor, StealingStopsWorkersAfterAThrow) {
-  constexpr std::size_t count = 20000;
-  std::atomic<int> executed{0};
-  ParallelOptions options;
-  options.threads = 8;
-  options.schedule = Schedule::Stealing;
-  EXPECT_THROW(
-      parallel_for(
-          count,
-          [&](std::size_t i) {
-            if (i == 0) throw std::runtime_error("boom");
-            executed.fetch_add(1);
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          },
-          options),
-      std::runtime_error);
-  EXPECT_LT(executed.load(), 1000);
 }
 
 TEST(Cli, ParsesFormsAndDefaults) {
@@ -346,12 +350,52 @@ TEST(Cli, ParsesFormsAndDefaults) {
   EXPECT_TRUE(cli.get_bool("verbose"));
   EXPECT_EQ(cli.get_int("absent", 7), 7);
   EXPECT_DOUBLE_EQ(cli.get_double("absent", 1.5), 1.5);
+  // Whole-token parsing keeps signs and exponents.
+  const char* numeric[] = {"prog", "--seed", "-42", "--mtbf=1e-3"};
+  CliParser signs(4, numeric);
+  EXPECT_EQ(signs.get_int("seed", 0), -42);
+  EXPECT_DOUBLE_EQ(signs.get_double("mtbf", 0.0), 1e-3);
 }
 
 TEST(Cli, RejectsMalformedValues) {
   const char* argv[] = {"prog", "--runs", "abc"};
   CliParser cli(3, argv);
   EXPECT_THROW((void)cli.get_int("runs", 0), std::invalid_argument);
+}
+
+TEST(Cli, IntegerValuesMustParseWhole) {
+  // A number followed by anything — a typo'd suffix, a fraction given to
+  // an integer flag — is refused rather than truncated to its prefix.
+  for (const char* text : {"2x", "2junk", "3.9", " 2", "2 ", "", "0x10",
+                           "99999999999999999999"}) {
+    const char* argv[] = {"prog", "--threads", text};
+    CliParser cli(3, argv);
+    try {
+      (void)cli.get_int("threads", 0);
+      ADD_FAILURE() << "accepted '" << text << "'";
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("--threads"), std::string::npos) << message;
+      EXPECT_NE(message.find(std::string("'") + text + "'"),
+                std::string::npos)
+          << message;
+    }
+  }
+}
+
+TEST(Cli, RealValuesMustParseWhole) {
+  for (const char* text : {"0.5x", "1e", "nan1", "1.5.2", " 1.5", ""}) {
+    const char* argv[] = {"prog", "--mtbf", text};
+    CliParser cli(3, argv);
+    try {
+      (void)cli.get_double("mtbf", 0.0);
+      ADD_FAILURE() << "accepted '" << text << "'";
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("--mtbf expects a number"), std::string::npos)
+          << message;
+    }
+  }
 }
 
 TEST(Cli, RejectsUnknownWhenAsked) {
@@ -547,19 +591,6 @@ TEST(ThreadEnv, ParseThreadCountRejectionsNameTheValue) {
     EXPECT_NE(error.find(std::to_string(max_thread_override())),
               std::string::npos)
         << error;
-  }
-}
-
-TEST(ThreadEnv, ParseAffinityFlagIsStrictlyBinary) {
-  bool on = false;
-  std::string error;
-  EXPECT_TRUE(parse_affinity_flag("1", on, error));
-  EXPECT_TRUE(on);
-  EXPECT_TRUE(parse_affinity_flag("0", on, error));
-  EXPECT_FALSE(on);
-  for (const char* text : {"true", "yes", "2", "", " 1", "01"}) {
-    EXPECT_FALSE(parse_affinity_flag(text, on, error)) << text;
-    EXPECT_NE(error.find("must be 0 or 1"), std::string::npos) << error;
   }
 }
 

@@ -4,8 +4,9 @@
 # On a small version of CI's shard_grid campaign, every way to shard it —
 # --workers 2; --workers 2 --deal static; --worker 0/2 + --worker 1/2 +
 # --merge 2; and a --worker 0/2 shard torn mid-record, then --resume and
-# --merge 2 — must cmp-match the single-process artifact, and --merge
-# must refuse (naming the file) a shard under the retired header shape.
+# --merge 2 — must cmp-match the single-process artifact, --merge
+# must refuse (naming the file) a shard under the retired header shape,
+# and malformed numeric flags must be refused before anything runs.
 set -u
 campaign="${1:?usage: check_campaign_cli.sh <coredis_campaign>}"
 campaign="$(cd "$(dirname "$campaign")" && pwd)/$(basename "$campaign")"
@@ -67,4 +68,17 @@ fi
 grep -q "legacy.shard1of2.jsonl" legacy.err ||
   fail "the legacy-header refusal does not name the file: $(cat legacy.err)"
 [ ! -e legacy.jsonl ] || fail "a refused merge left legacy.jsonl behind"
+
+# Numeric flags parse the whole token: a value with trailing junk is
+# refused, naming the flag and the value, before any output is written.
+for bad in "--threads 2x" "--workers 2junk" "--spill-mb 3.9"; do
+  flag="${bad% *}" value="${bad#* }"
+  if "$campaign" --campaign grid.txt --out junk.jsonl "$flag" "$value" \
+      2> junk.err > /dev/null; then
+    fail "$bad was accepted"
+  fi
+  grep -q -- "$flag expects an integer, got '$value'" junk.err ||
+    fail "the $bad refusal does not name the flag and value: $(cat junk.err)"
+  [ ! -e junk.jsonl ] || fail "a refused $bad left junk.jsonl behind"
+done
 echo "campaign cli battery OK"

@@ -184,14 +184,6 @@ int main(int argc, char** argv) {
                   "merge <count> shard files (from --workers or --worker) "
                   "into --out, then exit")
         .describe("keep-shards", "keep per-shard files after a --workers merge")
-        .describe("order",
-                  "cell execution order: lpt (default; longest-predicted-"
-                  "first from the online cost model) or index — pure "
-                  "scheduling, never changes one output byte")
-        .describe("schedule",
-                  "parallel_for schedule for the cell loop: stealing "
-                  "(default), dynamic, or static (COREDIS_AFFINITY=1 "
-                  "flips the default to static)")
         .describe("storage",
                   "cell-queue/result-spill backend: ram (default), file "
                   "(bounded RAM; see --spill-mb), or mmap (memory-mapped "
@@ -242,10 +234,6 @@ int main(int argc, char** argv) {
     if (spill_mb < 1) throw std::invalid_argument("--spill-mb must be >= 1");
     options.spill_ram_budget_bytes =
         static_cast<std::size_t>(spill_mb) << 20;
-    if (const auto order = cli.get("order"))
-      options.order = exp::parse_cell_order(*order);
-    if (const auto schedule = cli.get("schedule"))
-      options.schedule = exp::parse_schedule(*schedule);
     const std::string deal = cli.get_string("deal", "dynamic");
     if (deal != "dynamic" && deal != "static")
       throw std::invalid_argument("--deal must be dynamic or static (got '" +
