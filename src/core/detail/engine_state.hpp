@@ -160,7 +160,8 @@ struct EngineState {
     /// a warm grant-scan probe touches the row, the key array and one
     /// prefix-min entry and nothing else.
     struct RegrowRow {
-      const double* pm = nullptr;  ///< tentative column prefix-min data
+      const double* pm = nullptr;  ///< tentative column prefix-min data;
+                                   ///< null until the row is bound
       double m_over = 0.0;         ///< m_i / sigma_init (Eq. 9 factor)
       double seq = 0.0;            ///< C_i (0 in the fault-free context)
       double free_tE = 0.0;        ///< Alg. 5 line 16 free return

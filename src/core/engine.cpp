@@ -127,6 +127,18 @@ RunResult Engine::run(fault::Generator& faults) {
     sink += now - mark;
     mark = now;
   };
+  // One heuristic call: its wall time goes to `scan_sink` minus the
+  // commits it ran (commit_changes times those into commit_seconds).
+  double end_scan_seconds = 0.0;
+  const auto heuristic = [&](double& scan_sink, auto&& call) {
+    phase(profile.dispatch_seconds);
+    if (profiling) ++profile.heuristic_calls;
+    const double commits_before = profile.commit_seconds;
+    const bool changed = call();
+    phase(scan_sink);
+    scan_sink -= profile.commit_seconds - commits_before;
+    return changed;
+  };
 
   // Initial allocation: Algorithm 1 (optimal without redistribution).
   const std::vector<int> sigma0 = optimal_schedule(model, processors_, evaluator);
@@ -256,13 +268,13 @@ RunResult Engine::run(fault::Generator& faults) {
         // Alg. 2 line 30: rebalance only if the faulty task became the
         // longest one (otherwise the makespan estimate did not move).
         if (task.tU >= state.longest_expected_finish()) {
-          phase(profile.dispatch_seconds);
-          if (profiling) ++profile.heuristic_calls;
-          redistributed =
-              config_.failure_policy == FailurePolicy::ShortestTasksFirst
-                  ? detail::shortest_tasks_first(state, fault.time, owner)
-                  : detail::iterated_greedy(state, fault.time, owner);
-          phase(profile.scan_seconds);
+          if (profiling) ++profile.failure_calls;
+          redistributed = heuristic(profile.failure_scan_seconds, [&] {
+            return config_.failure_policy ==
+                           FailurePolicy::ShortestTasksFirst
+                       ? detail::shortest_tasks_first(state, fault.time, owner)
+                       : detail::iterated_greedy(state, fault.time, owner);
+          });
         }
       }
 
@@ -304,22 +316,20 @@ RunResult Engine::run(fault::Generator& faults) {
     if (owned_processors) platform.release_all(ending);
 
     if (live > 0 && owned_processors && config_.end_policy != EndPolicy::None) {
-      phase(profile.dispatch_seconds);
-      if (profiling) ++profile.heuristic_calls;
-      if (config_.end_policy == EndPolicy::Local)
-        detail::end_local(state, end_time);
-      else
-        detail::end_greedy(state, end_time);
-      phase(profile.scan_seconds);
+      (void)heuristic(end_scan_seconds, [&] {
+        return config_.end_policy == EndPolicy::Local
+                   ? detail::end_local(state, end_time)
+                   : detail::end_greedy(state, end_time);
+      });
     } else {
       phase(profile.dispatch_seconds);
     }
   }
 
   if (profiling) {
-    // The heuristics' commit share was accumulated inside scan time;
-    // carve it out so probe scans and commits read as disjoint phases.
-    profile.scan_seconds -= profile.commit_seconds;
+    // Both shares are already net of commits, so probe scans and commits
+    // read as disjoint phases.
+    profile.scan_seconds = profile.failure_scan_seconds + end_scan_seconds;
     result.profile = profile;
   }
   result.makespan = *std::max_element(result.completion_times.begin(),

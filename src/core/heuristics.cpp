@@ -27,6 +27,14 @@
 /// themselves are never approximated: any scan that actually runs is the
 /// from-scratch exact scan, which also survives unconditionally behind
 /// EngineConfig::eager_scans for the equivalence tests.
+///
+/// The fault-time rebuilds do per-task work only for the tasks they probe
+/// or move (DESIGN.md section 6.5). ShortestTasksFirst picks its victims
+/// from a (tU, index) min-heap built in one pass and prices alpha^t only
+/// for picked victims; IteratedGreedy's regrow binds a one-pair task's
+/// column only when the task first wins a grant. Every key and probe
+/// keeps its value, so decisions are bit-identical to the literal forms
+/// (tests/stf_linear_scan.hpp and the eager_scans regrow).
 
 #include <algorithm>
 #include <chrono>
@@ -469,11 +477,14 @@ bool iterated_greedy(EngineState& s, double t, int faulty) {
     in[static_cast<std::size_t>(i)] = 1;
     ++n_included;
     pool += s.task(i).sigma;
-    alpha_t[static_cast<std::size_t>(i)] =
-        i == faulty ? s.task(i).alpha : s.alpha_tentative(i, t);
   }
   if (n_included == 0) return false;
   COREDIS_ASSERT(pool >= 2 * n_included);
+  // alpha^t of an eligible task (the faulty one was already rolled back by
+  // Algorithm 2). Commit reads it only for tasks whose allocation changes.
+  const auto tentative = [&](int i) {
+    return i == faulty ? s.task(i).alpha : s.alpha_tentative(i, t);
+  };
 
   std::vector<HeapEntry>& heap = scr.heap;
   heap.clear();
@@ -483,6 +494,9 @@ bool iterated_greedy(EngineState& s, double t, int faulty) {
     // Reference regrow: one lazily-bound prober per task, columns filled
     // one probe at a time as the scans deepen (the pre-incremental
     // implementation, kept verbatim for the equivalence tests).
+    for (int i = 0; i < n; ++i)
+      if (in[static_cast<std::size_t>(i)])
+        alpha_t[static_cast<std::size_t>(i)] = tentative(i);
     std::vector<std::optional<CandidateProber>>& probers = scr.probers;
     probers.assign(static_cast<std::size_t>(n), std::nullopt);
     const auto probe_for = [&](int task) -> const CandidateProber& {
@@ -544,7 +558,7 @@ bool iterated_greedy(EngineState& s, double t, int faulty) {
     // Incremental regrow (DESIGN.md section 6.5): the rebuild re-derives
     // ~98% of the committed allocation unchanged, so its cost is pure
     // replanning overhead — dominated by scattered pointer chasing and
-    // one latency-bound Eq. 4 fill per heap pop. Three changes, all
+    // one latency-bound Eq. 4 fill per heap pop. The changes, all
     // value-neutral: each task's tentative column is prefilled to its
     // committed depth in one probe_many batch (the exact values the
     // grant scans will read, streamed back to back), the scan state is
@@ -554,13 +568,47 @@ bool iterated_greedy(EngineState& s, double t, int faulty) {
     // maximum by (key, task) and re-keys it, and any structure returning
     // that exact maximum yields the identical grant sequence, while a
     // re-key replays one fixed leaf-to-root path instead of a
-    // data-dependent sift. The probe arithmetic is the CandidateProber's,
-    // term for term, so decisions are identical (locked by the
-    // equivalence tests driving both paths).
+    // data-dependent sift. Most tasks hold one pair and never win a
+    // grant: their reset key is the committed tU, which needs no Eq. 4
+    // evaluation, so their alpha^t, free-return read and column bind wait
+    // for their first win (row.pm == nullptr until then). A task that
+    // never wins keeps its allocation, so commit never reads its alpha^t.
+    // The probe arithmetic is the CandidateProber's, term for term, so
+    // decisions are identical (locked by the equivalence tests driving
+    // both paths).
     std::vector<EngineState::Scratch::RegrowRow>& rows = scr.rows;
     rows.resize(static_cast<std::size_t>(n));
     const bool fault_free = s.model->resilience().fault_free();
     const bool zero_rc = s.zero_redistribution_cost;
+
+    // Bind task i's probe state: alpha^t, the committed-state constants
+    // (memoized against the task version: the Eq. 9 factor and the free
+    // return to the committed allocation, Alg. 5 line 16 — never read
+    // when sigma_init == 2, as targets start at 4), and the tentative
+    // column batch-prefilled to the committed depth behind a flat view.
+    const auto bind = [&](int i) {
+      const auto idx = static_cast<std::size_t>(i);
+      EngineState::Scratch::RegrowRow& row = rows[idx];
+      const int sigma_init = row.sigma_init;
+      alpha_t[idx] = tentative(i);
+      row.seq = fault_free ? 0.0 : s.model->sequential_checkpoint(i);
+      EngineState::FreeReturnCache& fc = s.free_return[idx];
+      if (fc.version != s.version[idx]) {
+        fc.version = s.version[idx];
+        fc.m_over = s.model->pack().task(i).data_size /
+                    static_cast<double>(sigma_init);
+        fc.tE = sigma_init > 2
+                    ? s.task(i).tlastR +
+                          (*s.tr)(i, sigma_init, s.task(i).alpha)
+                    : 0.0;
+      }
+      row.m_over = fc.m_over;
+      row.free_tE = fc.tE;
+      const TrEvaluator::Column col = s.tr->column(i, alpha_t[idx]);
+      (void)col(sigma_init);
+      row.pm = col.prefix().data();
+      row.pm_len = static_cast<int>(col.prefix().size());
+    };
 
     std::vector<int>& tree = scr.tourney;
     std::vector<int>& leaf_of = scr.leaf_of;
@@ -576,35 +624,16 @@ bool iterated_greedy(EngineState& s, double t, int faulty) {
       EngineState::Scratch::RegrowRow& row = rows[idx];
       const int sigma_init = s.task(i).sigma;
       row.sigma_init = sigma_init;
-      row.seq = fault_free ? 0.0 : s.model->sequential_checkpoint(i);
-      // Committed-state constants, memoized against the task version:
-      // the Eq. 9 factor and the free return to the committed allocation
-      // (Alg. 5 line 16; never read when sigma_init == 2 — targets start
-      // at 4 — and the regrow crosses sigma_init for almost every task).
-      EngineState::FreeReturnCache& fc = s.free_return[idx];
-      if (fc.version != s.version[idx]) {
-        fc.version = s.version[idx];
-        fc.m_over = s.model->pack().task(i).data_size /
-                    static_cast<double>(sigma_init);
-        fc.tE = sigma_init > 2
-                    ? s.task(i).tlastR +
-                          (*s.tr)(i, sigma_init, s.task(i).alpha)
-                    : 0.0;
-      }
-      row.m_over = fc.m_over;
-      row.free_tE = fc.tE;
-      // Batched prefill to the committed depth + flat column view.
-      const TrEvaluator::Column col = s.tr->column(i, alpha_t[idx]);
-      (void)col(sigma_init);
-      row.pm = col.prefix().data();
-      row.pm_len = static_cast<int>(col.prefix().size());
       // Reset to one pair (Alg. 5 lines 3-8); a task whose committed
-      // allocation was already 2 keeps its committed tU (no cost). The
-      // reset key is the probe of target 2 (prober arithmetic inlined).
+      // allocation was already 2 keeps its committed tU (no cost) and
+      // binds on its first win. The others' reset key is the probe of
+      // target 2 (prober arithmetic inlined).
       new_sigma[idx] = 2;
       if (sigma_init == 2) {
+        row.pm = nullptr;
         tU[idx] = s.task(i).tU;
       } else {
+        bind(i);
         const double rc =
             zero_rc ? 0.0
                     : static_cast<double>(
@@ -636,6 +665,7 @@ bool iterated_greedy(EngineState& s, double t, int faulty) {
       const int i = tree[1];  // the winner; its leaf stays in place
       const auto idx = static_cast<std::size_t>(i);
       EngineState::Scratch::RegrowRow& row = rows[idx];
+      if (row.pm == nullptr) bind(i);  // first win of a one-pair task
       const int sigma_init = row.sigma_init;
       const int pmax = new_sigma[idx] + available;
 
@@ -713,27 +743,30 @@ bool shortest_tasks_first(EngineState& s, double t, int faulty) {
   EngineState::Scratch& scr = s.scratch;
   std::vector<int>& new_sigma = scr.new_sigma;
   std::vector<double>& alpha_t = scr.alpha_t;
-  std::vector<double>& tU = scr.tU;
-  std::vector<char>& in = scr.included;
+  std::vector<int>& changed = scr.changed;
   new_sigma.resize(static_cast<std::size_t>(n));
   alpha_t.assign(static_cast<std::size_t>(n), 0.0);
-  tU.resize(static_cast<std::size_t>(n));
-  in.assign(static_cast<std::size_t>(n), 0);
+  changed.clear();
+  // Victim queue (phase 2): every included task other than the faulty one
+  // that still has a pair to spare, shortest expected finish first. The
+  // max-heap primitives pop it as a min-heap through negated keys, so the
+  // top is the smallest (tU, index) — ties to the smaller index, exactly
+  // the first minimum of a linear scan. A tU that is not < +inf (+inf or
+  // NaN) never wins that scan's `tU < shortest` test, so it never enters.
+  std::vector<HeapEntry>& heap = scr.heap;
+  heap.clear();
   for (int i = 0; i < n; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    new_sigma[idx] = s.task(i).sigma;
-    tU[idx] = s.task(i).tU;
-    if (i == faulty) {
-      in[idx] = 1;
-      alpha_t[idx] = f.alpha;  // already rolled back by Algorithm 2
-    } else if (s.included(i, t)) {
-      in[idx] = 1;
-      alpha_t[idx] = s.alpha_tentative(i, t);
-    }
+    const TaskRuntime& rt = s.task(i);
+    new_sigma[static_cast<std::size_t>(i)] = rt.sigma;
+    if (i != faulty && rt.sigma >= 4 &&
+        rt.tU < std::numeric_limits<double>::infinity() && s.included(i, t))
+      heap.emplace_back(-rt.tU, -i);
   }
+  std::make_heap(heap.begin(), heap.end());
 
   const auto fidx = static_cast<std::size_t>(faulty);
-  const double alpha_f = f.alpha;
+  const double alpha_f = f.alpha;  // already rolled back by Algorithm 2
+  alpha_t[fidx] = alpha_f;
   double tU_f = f.tU;
   int k = s.platform->free_count();
   bool changed_any = false;
@@ -768,19 +801,13 @@ bool shortest_tasks_first(EngineState& s, double t, int faulty) {
   // contradicts the prose "if the faulty task is still improvable, we try
   // to take processors from shortest tasks"; we enter unconditionally and
   // keep the loop's internal exit conditions.
-  while (true) {
-    int victim = -1;
-    double shortest = std::numeric_limits<double>::infinity();
-    for (int i = 0; i < n; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      if (!in[idx] || i == faulty || new_sigma[idx] < 4) continue;
-      if (tU[idx] < shortest) {
-        shortest = tU[idx];
-        victim = i;
-      }
-    }
-    if (victim < 0) break;
+  while (!heap.empty()) {
+    const int victim = -heap.front().second;  // peek; re-keyed below
     const auto vidx = static_cast<std::size_t>(victim);
+    // A victim picked before either lost a pair or ended the loop, so an
+    // untouched allocation marks its first pick: price alpha^t only now.
+    const bool first_pick = new_sigma[vidx] == s.task(victim).sigma;
+    if (first_pick) alpha_t[vidx] = s.alpha_tentative(victim, t);
     const CandidateProber probe_victim(s, t, victim, alpha_t[vidx]);
 
     bool improvable = false;
@@ -802,15 +829,23 @@ bool shortest_tasks_first(EngineState& s, double t, int faulty) {
     }
     if (!improvable) break;
 
+    if (first_pick) changed.push_back(victim);
     new_sigma[fidx] += 2;  // transfers are pair-by-pair (lines 35-36)
     new_sigma[vidx] -= 2;
     tU_f = first_tE_f;
-    tU[vidx] = first_tE_s;
     changed_any = true;
-    if (tU[vidx] > tU_f) break;  // line 39: the victim became the bottleneck
+    if (first_tE_s > tU_f) break;  // line 39: the victim became the bottleneck
+    if (new_sigma[vidx] < 4)
+      heap_drop_top(heap);  // no pair left to spare
+    else
+      heap_replace_top(heap, HeapEntry(-first_tE_s, -victim));
   }
 
-  if (changed_any) s.commit(t, faulty, new_sigma, alpha_t);
+  if (changed_any) {
+    changed.push_back(faulty);  // every grant and transfer grows it
+    std::sort(changed.begin(), changed.end());
+    s.commit_changes(t, faulty, new_sigma, alpha_t, changed);
+  }
   return changed_any;
 }
 

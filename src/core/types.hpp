@@ -83,14 +83,19 @@ struct HeuristicCombo {
 /// partition the run loop: Algorithm 1's initial allocation, event
 /// dispatch (queue peeks, fault attribution, rollbacks, completion
 /// bookkeeping), the heuristics' probe scans and heap traffic, and the
-/// allocation commits. Counters give the per-phase denominators.
+/// allocation commits. Counters give the per-phase denominators. The
+/// failure_* fields split out the fault-time rebuilds (ShortestTasksFirst
+/// or IteratedGreedy): a subset of the scan phase and of the calls, with
+/// their commits carved out the same way.
 struct EngineProfile {
   double algorithm1_seconds = 0.0;  ///< initial Algorithm 1 build
   double dispatch_seconds = 0.0;    ///< event selection + rollbacks
   double scan_seconds = 0.0;        ///< heuristic probe scans + heap work
+  double failure_scan_seconds = 0.0;  ///< scan_seconds share of STF/IG
   double commit_seconds = 0.0;      ///< allocation commits (ledger, tU)
   long long events = 0;             ///< dispatched events (faults + ends)
   long long heuristic_calls = 0;    ///< end/failure policy invocations
+  long long failure_calls = 0;      ///< heuristic_calls share of STF/IG
   long long commits = 0;            ///< commit batches applied
 };
 

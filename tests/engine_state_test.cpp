@@ -1,16 +1,24 @@
 /// White-box tests of the engine's internal state transitions (the exact
 /// bookkeeping of Algorithms 2-5): tentative work fractions, commit
 /// baselines (tlastR = t + RC + C, plus D + R for the faulty task),
-/// blackout exclusion, and the revert-at-no-cost rule of IteratedGreedy.
+/// blackout exclusion, the revert-at-no-cost rule of IteratedGreedy, the
+/// regrow's deferred column binds, and ShortestTasksFirst's victim heap
+/// against the linear-scan oracle of stf_linear_scan.hpp.
 
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "core/detail/engine_state.hpp"
 #include "redistrib/cost.hpp"
 #include "speedup/synthetic.hpp"
+#include "stf_linear_scan.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace coredis::core::detail {
@@ -261,6 +269,232 @@ TEST_F(EngineStateTest, UnfinishedEndingByMatchesLinearFilter) {
   state_.unfinished_ending_by(bound, /*except=*/2, linear);
   EXPECT_EQ(indexed, linear);
   EXPECT_FALSE(indexed.empty());
+}
+
+/// A hand-built engine state with its own pack, model, platform and
+/// evaluator. The members point at each other, so a world never moves;
+/// two worlds built the same way are identical and independent.
+class World {
+ public:
+  World(const std::vector<double>& sizes, int processors)
+      : pack_(make_tasks(sizes), std::make_shared<speedup::SyntheticModel>(0.08)),
+        resilience_({units::years(20.0), 60.0, 1.0,
+                     checkpoint::PeriodRule::Young, 0.0}),
+        model_(pack_, resilience_),
+        platform_(processors),
+        tr_(model_, processors) {
+    state_.model = &model_;
+    state_.platform = &platform_;
+    state_.tr = &tr_;
+    state_.tasks.resize(sizes.size());
+  }
+  World(const World&) = delete;
+  World& operator=(const World&) = delete;
+
+  EngineState& state() { return state_; }
+  platform::Platform& platform() { return platform_; }
+  TrEvaluator& tr() { return tr_; }
+  const ExpectedTimeModel& model() const { return model_; }
+  double downtime() const { return resilience_.downtime(); }
+
+  /// Install task i at (sigma, alpha, tlastR) with its consistent tU and
+  /// hand it sigma processors.
+  void place(int i, int sigma, double alpha, double tlastR) {
+    TaskRuntime& task = state_.task(i);
+    task.sigma = sigma;
+    task.alpha = alpha;
+    task.tlastR = tlastR;
+    task.tU = tlastR + tr_(i, sigma, alpha);
+    state_.refresh_projection(i);
+    platform_.grant(i, sigma);
+  }
+
+ private:
+  static std::vector<TaskSpec> make_tasks(const std::vector<double>& sizes) {
+    std::vector<TaskSpec> tasks;
+    for (const double m : sizes) tasks.push_back({m});
+    return tasks;
+  }
+
+  Pack pack_;
+  checkpoint::Model resilience_;
+  ExpectedTimeModel model_;
+  platform::Platform platform_;
+  TrEvaluator tr_;
+  EngineState state_;
+};
+
+TEST(IteratedGreedyRegrow, BindsOnePairTasksOnlyWhenTheyWin) {
+  // Tasks 0-3 hold one pair and are nearly done: the regrow resets them
+  // to their committed tU and never picks them. Tasks 4-6 hold four
+  // pairs at full work; task 7 is the struck task, on one pair. With 48
+  // spare processors every grant goes to tasks 4-7.
+  World world({2.0e6, 2.1e6, 1.9e6, 2.2e6, 2.0e6, 2.3e6, 1.8e6, 2.0e6}, 64);
+  EngineState& s = world.state();
+  const double t = 5000.0;
+  for (int i = 0; i < 4; ++i) world.place(i, 2, 0.1, 0.0);
+  for (int i = 4; i < 7; ++i) world.place(i, 8, 1.0, 0.0);
+  const int faulty = 7;
+  world.place(faulty, 2, 0.9,
+              t + world.downtime() + world.model().recovery_time(faulty, 2));
+  ASSERT_FALSE(s.eager_scans);
+
+  std::vector<double> alpha_t(8);
+  for (int i = 0; i < 8; ++i)
+    alpha_t[static_cast<std::size_t>(i)] =
+        i == faulty ? s.task(i).alpha : s.alpha_tentative(i, t);
+  ASSERT_TRUE(iterated_greedy(s, t, faulty));
+
+  for (int i = 0; i < 8; ++i) {
+    const auto& prefix =
+        world.tr().column(i, alpha_t[static_cast<std::size_t>(i)]).prefix();
+    if (i < 4) {
+      EXPECT_EQ(s.task(i).sigma, 2) << "task " << i;
+      EXPECT_TRUE(prefix.empty()) << "unpicked one-pair task " << i;
+    } else {
+      EXPECT_GT(s.task(i).sigma, 2) << "task " << i;
+      EXPECT_FALSE(prefix.empty()) << "picked or wide task " << i;
+    }
+  }
+}
+
+/// Bitwise equality, so NaN keys compare equal to themselves.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Seeded ShortestTasksFirst input. The seed's low bits pick the shape:
+/// bit 0 draws every tU from three values (ties everywhere), bit 1
+/// sprinkles +inf and NaN tU, bit 2 puts the struck task on one pair,
+/// bit 3 leaves idle processors for phase 1 (k > 0). Allocations stay
+/// small (2-8), so victims often fall below 4.
+struct StfCase {
+  std::uint64_t seed;
+  int faulty = 0;
+  double t = 1.0e5;
+
+  void build(World& world) const {
+    Rng rng(seed);
+    EngineState& s = world.state();
+    s.ensure_lazy_state();
+    const int n = s.n();
+    const bool ties = (seed & 1U) != 0;
+    const bool specials = (seed & 2U) != 0;
+    const bool faulty_two = (seed & 4U) != 0;
+    const double tie_values[3] = {1.5e5, 2.5e5, 4.0e5};
+    for (int i = 0; i < n; ++i) {
+      TaskRuntime& task = s.task(i);
+      if (i == faulty) {
+        const int sigma =
+            faulty_two ? 2 : 2 * static_cast<int>(rng.uniform_int(1, 3));
+        world.place(i, sigma, rng.uniform(0.5, 1.0),
+                    t + world.downtime() +
+                        world.model().recovery_time(i, sigma));
+        continue;
+      }
+      const int sigma = 2 * static_cast<int>(rng.uniform_int(1, 4));
+      const double roll = rng.uniform01();
+      if (roll < 0.05) {  // finished: holds nothing
+        task.sigma = sigma;
+        task.done = true;
+        task.tU = 0.0;
+        continue;
+      }
+      world.place(i, sigma, rng.uniform(0.02, 1.0),
+                  roll < 0.15 ? t + 100.0  // inside its blackout
+                              : t - rng.uniform(0.0, 5.0e4));
+      if (roll > 0.95) {  // surrendered early: processors back to the pool
+        task.released = true;
+        world.platform().release_all(i);
+      }
+      if (ties) task.tU = tie_values[rng.uniform_int(0, 2)];
+      if (specials) {
+        const double u = rng.uniform01();
+        if (u < 0.15) task.tU = std::numeric_limits<double>::infinity();
+        else if (u < 0.25) task.tU = std::numeric_limits<double>::quiet_NaN();
+      }
+    }
+  }
+};
+
+TEST(ShortestTasksFirstVictims, HeapMatchesLinearScanOracle) {
+  int transfers = 0;      // cases where some victim lost a pair
+  int below_four = 0;     // ... and one of them ended on a single pair
+  int multi_victim = 0;   // ... or more than one victim moved
+  int tie_transfers = 0;  // transfers with tied tU keys
+  int odd_transfers = 0;  // transfers with +inf and NaN tU keys around
+  int phase_one = 0;      // idle pairs went to the struck task
+  for (std::uint64_t seed = 0; seed < 256; ++seed) {
+    Rng shape(seed ^ 0x5F1ULL);
+    const int n = static_cast<int>(shape.uniform_int(3, 24));
+    std::vector<double> sizes(static_cast<std::size_t>(n));
+    for (double& m : sizes) m = shape.uniform(1.0e6, 3.0e6);
+    const int idle = (seed & 8U) != 0 ? 2 * static_cast<int>(shape.uniform_int(1, 6)) : 0;
+    StfCase input{seed};
+    input.faulty = static_cast<int>(shape.uniform_int(0, static_cast<std::uint64_t>(n - 1)));
+
+    const int processors = 8 * n + idle;
+    World heap_world(sizes, processors);
+    World scan_world(sizes, processors);
+    for (World* world : {&heap_world, &scan_world}) {
+      input.build(*world);
+      // Everything not granted beyond the idle pool stays taken.
+      const int spare = world->platform().free_count() - idle;
+      if (spare > 0) world->platform().grant(n + 1, spare);
+    }
+    EngineState& a = heap_world.state();
+    EngineState& b = scan_world.state();
+    std::vector<int> before(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) before[static_cast<std::size_t>(i)] = a.task(i).sigma;
+
+    const bool changed_a = shortest_tasks_first(a, input.t, input.faulty);
+    const bool changed_b = oracle::stf_linear_scan(b, input.t, input.faulty);
+    SCOPED_TRACE(testing::Message() << "seed " << seed << " n " << n);
+    ASSERT_EQ(changed_a, changed_b);
+    for (int i = 0; i < n; ++i) {
+      const TaskRuntime& x = a.task(i);
+      const TaskRuntime& y = b.task(i);
+      EXPECT_EQ(x.sigma, y.sigma) << "task " << i;
+      EXPECT_TRUE(same_bits(x.alpha, y.alpha)) << "task " << i;
+      EXPECT_TRUE(same_bits(x.tlastR, y.tlastR)) << "task " << i;
+      EXPECT_TRUE(same_bits(x.tU, y.tU)) << "task " << i;
+      EXPECT_TRUE(same_bits(x.proj_end, y.proj_end)) << "task " << i;
+      EXPECT_EQ(a.version[static_cast<std::size_t>(i)],
+                b.version[static_cast<std::size_t>(i)])
+          << "task " << i;
+    }
+    EXPECT_EQ(a.redistributions, b.redistributions);
+    EXPECT_TRUE(same_bits(a.redistribution_cost_total, b.redistribution_cost_total));
+    EXPECT_EQ(a.checkpoints_taken, b.checkpoints_taken);
+    ASSERT_EQ(heap_world.platform().free_count(), scan_world.platform().free_count());
+    for (int proc = 0; proc < processors; ++proc)
+      EXPECT_EQ(heap_world.platform().owner(proc), scan_world.platform().owner(proc))
+          << "processor " << proc;
+
+    int victims = 0;
+    bool dropped = false;
+    for (int i = 0; i < n; ++i) {
+      const int was = before[static_cast<std::size_t>(i)];
+      if (i == input.faulty || a.task(i).sigma >= was) continue;
+      ++victims;
+      dropped = dropped || a.task(i).sigma < 4;
+    }
+    if (victims > 0) {
+      ++transfers;
+      if (dropped) ++below_four;
+      if (victims > 1) ++multi_victim;
+      if ((seed & 1U) != 0) ++tie_transfers;
+      if ((seed & 2U) != 0) ++odd_transfers;
+    }
+    if (idle > 0 && heap_world.platform().free_count() < idle) ++phase_one;
+  }
+  // The battery must exercise what it claims to lock.
+  EXPECT_GT(transfers, 100);
+  EXPECT_GT(below_four, 50);
+  EXPECT_GT(multi_victim, 50);
+  EXPECT_GT(tie_transfers, 30);
+  EXPECT_GT(odd_transfers, 30);
+  EXPECT_GT(phase_one, 50);
 }
 
 }  // namespace

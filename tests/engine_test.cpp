@@ -279,5 +279,34 @@ TEST(Engine, TraceRecordsOnePerEffectiveFault) {
   }
 }
 
+TEST(Engine, ProfileSplitsOutFaultTimeRebuilds) {
+  // The STF/IG share is a subset of the scan phase and of the calls; with
+  // no failure policy it is empty.
+  const Pack pack = make_pack({2.0e6, 1.8e6, 2.2e6, 1.9e6, 2.1e6});
+  const checkpoint::Model resilience = faulty_model(1.0);
+  for (const FailurePolicy policy :
+       {FailurePolicy::ShortestTasksFirst, FailurePolicy::IteratedGreedy,
+        FailurePolicy::None}) {
+    EngineConfig config{EndPolicy::Local, policy, false};
+    config.profile = true;
+    Engine engine(pack, resilience, 40, config);
+    fault::ExponentialGenerator faults(40, 1.0 / units::years(1.0), Rng(7));
+    const RunResult result = engine.run(faults);
+    const EngineProfile& prof = result.profile;
+    SCOPED_TRACE(to_string(policy));
+    ASSERT_GT(result.faults_effective, 0);
+    EXPECT_LE(prof.failure_calls, prof.heuristic_calls);
+    EXPECT_LE(prof.failure_scan_seconds, prof.scan_seconds);
+    EXPECT_GE(prof.failure_scan_seconds, 0.0);
+    if (policy == FailurePolicy::None) {
+      EXPECT_EQ(prof.failure_calls, 0);
+      EXPECT_EQ(prof.failure_scan_seconds, 0.0);
+    } else {
+      EXPECT_GT(prof.failure_calls, 0);
+      EXPECT_LT(prof.failure_calls, prof.heuristic_calls);  // EndLocal too
+    }
+  }
+}
+
 }  // namespace
 }  // namespace coredis::core

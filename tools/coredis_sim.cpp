@@ -113,7 +113,6 @@ int run_single(const exp::Scenario& scenario, const CliParser& cli) {
   core::EngineConfig config;
   config.end_policy = parse_end(cli.get_string("end", "local"));
   config.failure_policy = parse_fail(cli.get_string("fail", "ig"));
-  config.record_trace = true;
   config.record_timeline =
       cli.get_bool("gantt") || cli.has("timeline-csv");
   config.profile = cli.get_bool("profile");
@@ -166,11 +165,13 @@ int run_single(const exp::Scenario& scenario, const CliParser& cli) {
                 << "%)\n";
     };
     std::cout << "\nprofile (" << prof.events << " events, "
-              << prof.heuristic_calls << " heuristic calls, " << prof.commits
+              << prof.heuristic_calls << " heuristic calls ("
+              << prof.failure_calls << " at faults), " << prof.commits
               << " commits):\n";
     row("algorithm 1       ", prof.algorithm1_seconds);
     row("event dispatch    ", prof.dispatch_seconds);
     row("probe scans + heap", prof.scan_seconds);
+    row("  STF/IG at faults", prof.failure_scan_seconds);
     row("commits           ", prof.commit_seconds);
   }
 
