@@ -1,7 +1,7 @@
 #include "exp/campaign.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -16,14 +17,15 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "exp/cost_model.hpp"
-#include "exp/detail/jsonl.hpp"
 #include "exp/scenario_file.hpp"
 #include "exp/storage.hpp"
 #include "util/atomic_file.hpp"
 #include "util/contracts.hpp"
+#include "util/json.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -34,12 +36,7 @@ namespace {
 
 // --- campaign-file parsing ------------------------------------------------
 
-using detail::expect_token;
-using detail::json_escape;
 using detail::lower;
-using detail::scan_double;
-using detail::scan_quoted;
-using detail::scan_size;
 using detail::trim;
 
 [[noreturn]] void fail_line(std::size_t number, const std::string& raw,
@@ -144,15 +141,9 @@ std::string format_g(double value) {
 //
 // The file is self-generated and line-oriented: one header record, then
 // one record per cell, committed strictly in cell order. Doubles use
-// "%.17g" so parsing a record reproduces the exact bits that were
-// simulated — a resumed campaign aggregates to the same statistics as an
-// uninterrupted one.
-
-std::string format_double17(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
+// "%.17g" (json::format_number) so parsing a record reproduces the exact
+// bits that were simulated — a resumed campaign aggregates to the same
+// statistics as an uninterrupted one.
 
 std::uint64_t fingerprint_mix(std::uint64_t hash, const std::string& text) {
   for (const unsigned char c : text) {
@@ -195,7 +186,7 @@ void append_config_names(std::ostringstream& out,
   out << "\"configs\":[";
   for (std::size_t c = 0; c < configs.size(); ++c) {
     if (c != 0) out << ',';
-    out << '"' << json_escape(configs[c].name) << '"';
+    out << '"' << json::escape(configs[c].name) << '"';
   }
   out << "]}";
 }
@@ -241,28 +232,17 @@ void cell_line(std::size_t cell, std::size_t point, std::size_t rep,
   line += ",\"rep\":";
   line += std::to_string(rep);
   line += ",\"baseline\":";
-  line += format_double17(result.baseline);
-  line += ",\"configs\":[";
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    if (c != 0) line += ',';
-    const core::RunResult& r = result.results[c];
-    line += "{\"name\":\"";
-    line += json_escape(configs[c].name);
-    line += "\",\"makespan\":";
-    line += format_double17(r.makespan);
-    line += ",\"normalized\":";
-    line += format_double17(r.makespan / result.baseline);
-    line += ",\"redistributions\":";
-    line += std::to_string(r.redistributions);
-    line += ",\"effective_faults\":";
-    line += std::to_string(r.faults_effective);
-    line += '}';
-  }
-  line += "]}";
+  line += json::format_number(result.baseline);
+  line += ",\"configs\":";
+  append_config_results(line, configs, result);
+  line += '}';
 }
 
-// Strict scanners (exp/detail/jsonl.hpp) for the exact shape emitted
-// above; any deviation marks the record as corrupt.
+// A record is valid iff it parses (util/json) and re-renders to exactly
+// its own bytes: the writer above is the format's one definition, so
+// reordered, missing or extra fields, a foreign number spelling, a
+// config name out of place or a makespan that no longer matches its
+// normalized value all mark the record corrupt.
 
 struct ParsedCell {
   std::size_t cell = 0;
@@ -274,40 +254,39 @@ struct ParsedCell {
 bool parse_cell_line(const std::string& line,
                      const std::vector<ConfigSpec>& configs,
                      ParsedCell& out) {
-  std::size_t pos = 0;
-  double normalized_ignored = 0.0;
-  if (!expect_token(line, pos, "{\"cell\":")) return false;
-  if (!scan_size(line, pos, out.cell)) return false;
-  if (!expect_token(line, pos, ",\"point\":")) return false;
-  if (!scan_size(line, pos, out.point)) return false;
-  if (!expect_token(line, pos, ",\"rep\":")) return false;
-  if (!scan_size(line, pos, out.rep)) return false;
-  if (!expect_token(line, pos, ",\"baseline\":")) return false;
-  if (!scan_double(line, pos, out.result.baseline)) return false;
-  if (!expect_token(line, pos, ",\"configs\":[")) return false;
+  constexpr std::uint64_t kMaxCount = std::numeric_limits<int>::max();
   out.result.results.assign(configs.size(), core::RunResult{});
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    if (c != 0 && !expect_token(line, pos, ",")) return false;
-    std::string name;
-    if (!expect_token(line, pos, "{\"name\":")) return false;
-    if (!scan_quoted(line, pos, name)) return false;
-    if (name != configs[c].name) return false;
-    core::RunResult& r = out.result.results[c];
-    std::size_t integer = 0;
-    if (!expect_token(line, pos, ",\"makespan\":")) return false;
-    if (!scan_double(line, pos, r.makespan)) return false;
-    if (!expect_token(line, pos, ",\"normalized\":")) return false;
-    if (!scan_double(line, pos, normalized_ignored)) return false;
-    if (!expect_token(line, pos, ",\"redistributions\":")) return false;
-    if (!scan_size(line, pos, integer)) return false;
-    r.redistributions = static_cast<int>(integer);
-    if (!expect_token(line, pos, ",\"effective_faults\":")) return false;
-    if (!scan_size(line, pos, integer)) return false;
-    r.faults_effective = static_cast<int>(integer);
-    if (!expect_token(line, pos, "}")) return false;
+  std::string rendered;
+  try {
+    json::Reader in(line);
+    std::size_t c = 0;
+    in.object([&](const std::string& key) {
+      if (key == "cell") out.cell = in.u64();
+      else if (key == "point") out.point = in.u64();
+      else if (key == "rep") out.rep = in.u64();
+      else if (key == "baseline") out.result.baseline = in.number();
+      else if (key != "configs") (void)in.skip();
+      else in.array([&] {
+        if (c == configs.size()) in.fail("too many configurations");
+        core::RunResult& r = out.result.results[c++];
+        in.object([&](const std::string& field) {
+          if (field == "makespan") r.makespan = in.number();
+          else if (field == "redistributions")
+            r.redistributions = static_cast<int>(in.u64(kMaxCount));
+          else if (field == "effective_faults")
+            r.faults_effective = static_cast<int>(in.u64(kMaxCount));
+          else (void)in.skip();  // name, normalized: the re-render checks them
+        });
+      });
+    });
+    in.finish();
+    cell_line(out.cell, out.point, out.rep, out.result, configs, rendered);
+  } catch (const json::Error&) {
+    return false;
+  } catch (const std::invalid_argument&) {  // a non-finite re-render
+    return false;
   }
-  if (!expect_token(line, pos, "]}")) return false;
-  return pos == line.size();
+  return rendered == line;
 }
 
 // --- the in-order committer and the resume scan ---------------------------
@@ -727,10 +706,16 @@ std::vector<PointResult> run_campaign(const Campaign& campaign,
 
 ShardSpec parse_shard_spec(const std::string& text) {
   ShardSpec shard;
-  std::size_t pos = 0;
-  const bool ok = scan_size(text, pos, shard.index) &&
-                  expect_token(text, pos, "/") &&
-                  scan_size(text, pos, shard.count) && pos == text.size();
+  const auto whole = [](std::string_view digits, std::size_t& out) {
+    const char* end = digits.data() + digits.size();
+    const auto [stop, error] = std::from_chars(digits.data(), end, out);
+    return error == std::errc() && stop == end;
+  };
+  const std::string_view spec = text;
+  const std::size_t slash = spec.find('/');
+  const bool ok = slash != std::string_view::npos &&
+                  whole(spec.substr(0, slash), shard.index) &&
+                  whole(spec.substr(slash + 1), shard.count);
   if (!ok)
     throw std::runtime_error(
         "shard spec must be <index>/<count>, e.g. 1/4 (got '" + text + "')");

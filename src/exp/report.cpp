@@ -1,10 +1,9 @@
 #include "exp/report.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstddef>
 #include <cstdio>
-#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -13,9 +12,9 @@
 #include <utility>
 #include <vector>
 
-#include "exp/detail/jsonl.hpp"
 #include "util/contracts.hpp"
 #include "util/csv.hpp"
+#include "util/json.hpp"
 #include "util/plot.hpp"
 #include "util/table.hpp"
 
@@ -31,12 +30,9 @@ std::vector<std::string> header_row(const Sweep& sweep) {
   return headers;
 }
 
-// Check records are line-oriented JSON sharing the campaign JSONL's
-// escaping and scanning discipline (exp/detail/jsonl.hpp).
-
-using detail::expect_token;
-using detail::json_escape;
-using detail::scan_quoted;
+// Check records are line-oriented JSON. Like campaign cell records, a
+// line is valid iff it parses (util/json) and re-renders to exactly its
+// own bytes, so the writer below is the format's one definition.
 
 struct CheckRecord {
   std::string figure;
@@ -45,28 +41,44 @@ struct CheckRecord {
   ShapeCheck check;
 };
 
+std::string check_record_line(const std::string& figure,
+                              const std::string& title,
+                              const std::string& command,
+                              const ShapeCheck& check) {
+  std::string line = "{\"figure\":\"";
+  line += json::escape(figure);
+  line += "\",\"title\":\"";
+  line += json::escape(title);
+  line += "\",\"command\":\"";
+  line += json::escape(command);
+  line += "\",\"check\":\"";
+  line += json::escape(check.description);
+  line += "\",\"pass\":";
+  line += check.pass ? "true" : "false";
+  line += ",\"detail\":\"";
+  line += json::escape(check.detail);
+  line += "\"}";
+  return line;
+}
+
 bool parse_check_record(const std::string& line, CheckRecord& out) {
-  std::size_t pos = 0;
-  if (!expect_token(line, pos, "{\"figure\":")) return false;
-  if (!scan_quoted(line, pos, out.figure)) return false;
-  if (!expect_token(line, pos, ",\"title\":")) return false;
-  if (!scan_quoted(line, pos, out.title)) return false;
-  if (!expect_token(line, pos, ",\"command\":")) return false;
-  if (!scan_quoted(line, pos, out.command)) return false;
-  if (!expect_token(line, pos, ",\"check\":")) return false;
-  if (!scan_quoted(line, pos, out.check.description)) return false;
-  if (!expect_token(line, pos, ",\"pass\":")) return false;
-  if (expect_token(line, pos, "true")) {
-    out.check.pass = true;
-  } else if (expect_token(line, pos, "false")) {
-    out.check.pass = false;
-  } else {
+  try {
+    json::Reader in(line);
+    in.object([&](const std::string& key) {
+      if (key == "figure") out.figure = in.string();
+      else if (key == "title") out.title = in.string();
+      else if (key == "command") out.command = in.string();
+      else if (key == "check") out.check.description = in.string();
+      else if (key == "pass") out.check.pass = in.boolean();
+      else if (key == "detail") out.check.detail = in.string();
+      else (void)in.skip();
+    });
+    in.finish();
+  } catch (const json::Error&) {
     return false;
   }
-  if (!expect_token(line, pos, ",\"detail\":")) return false;
-  if (!scan_quoted(line, pos, out.check.detail)) return false;
-  if (!expect_token(line, pos, "}")) return false;
-  return pos == line.size();
+  return check_record_line(out.figure, out.title, out.command, out.check) ==
+         line;
 }
 
 }  // namespace
@@ -155,14 +167,10 @@ std::string render_checks(const std::vector<ShapeCheck>& checks) {
 void append_check_records(const std::string& path, const CheckReport& report) {
   std::ofstream file(path, std::ios::binary | std::ios::app);
   if (!file) throw std::runtime_error("cannot append check records: " + path);
-  for (const ShapeCheck& check : report.checks) {
-    file << "{\"figure\":\"" << json_escape(report.figure) << "\",\"title\":\""
-         << json_escape(report.title) << "\",\"command\":\""
-         << json_escape(report.command) << "\",\"check\":\""
-         << json_escape(check.description) << "\",\"pass\":"
-         << (check.pass ? "true" : "false") << ",\"detail\":\""
-         << json_escape(check.detail) << "\"}\n";
-  }
+  for (const ShapeCheck& check : report.checks)
+    file << check_record_line(report.figure, report.title, report.command,
+                              check)
+         << '\n';
   if (!file) throw std::runtime_error("failed writing check records: " + path);
 }
 
@@ -240,41 +248,29 @@ std::string render_experiments_markdown(
 
 namespace {
 
-/// Extract `"key": <number>` scoped to the scenario object named `name`
-/// (bench_json's own schema; mirrors its baseline_value scanner).
-double scenario_value(const std::string& json, const std::string& name,
-                      const std::string& key) {
-  std::string anchor = "\"name\": \"";
-  anchor += name;
-  anchor += '"';
-  const std::size_t at = json.find(anchor);
-  if (at == std::string::npos) return -1.0;
-  const std::size_t end = json.find('}', at);
-  std::string field = "\"";
-  field += key;
-  field += "\":";
-  const std::size_t k = json.find(field, at);
-  if (k == std::string::npos || k > end) return -1.0;
-  return std::strtod(json.c_str() + k + field.size(), nullptr);
+BenchScenario read_bench_scenario(json::Reader& in) {
+  BenchScenario s;
+  in.object([&](const std::string& key) {
+    if (key == "name") s.name = in.string();
+    else if (key == "runs") s.runs = in.number();
+    else if (key == "seconds_per_run") s.seconds_per_run = in.number();
+    else if (key == "seconds_per_run_min") s.seconds_per_run_min = in.number();
+    else if (key == "makespan_mean") s.makespan_mean = in.number();
+    else if (key == "peak_rss_kb") s.peak_rss_kb = in.number();
+    else (void)in.skip();
+  });
+  if (s.name.empty()) in.fail("scenario without a name");
+  return s;
 }
 
 /// Every scenario name, in file order of first appearance.
 std::vector<std::string> scenario_names(
     const std::vector<BenchBaseline>& files) {
   std::vector<std::string> names;
-  for (const BenchBaseline& file : files) {
-    std::size_t pos = 0;
-    const std::string anchor = "\"name\": \"";
-    while ((pos = file.json.find(anchor, pos)) != std::string::npos) {
-      pos += anchor.size();
-      const std::size_t quote = file.json.find('"', pos);
-      const std::string name = file.json.substr(pos, quote - pos);
-      bool known = false;
-      for (const std::string& existing : names) known |= existing == name;
-      if (!known) names.push_back(name);
-      pos = quote;
-    }
-  }
+  for (const BenchBaseline& file : files)
+    for (const BenchScenario& scenario : file.scenarios)
+      if (std::find(names.begin(), names.end(), scenario.name) == names.end())
+        names.push_back(scenario.name);
   return names;
 }
 
@@ -285,6 +281,45 @@ std::string format_ms(double seconds) {
 }
 
 }  // namespace
+
+const BenchScenario* BenchBaseline::find(std::string_view name) const {
+  for (const BenchScenario& scenario : scenarios)
+    if (scenario.name == name) return &scenario;
+  return nullptr;
+}
+
+BenchBaseline parse_bench_baseline(std::string_view text, std::string label) {
+  BenchBaseline baseline{std::move(label), 0.0, 0.0, {}};
+  bool listed = false;
+  json::Reader in(text);
+  in.object([&](const std::string& key) {
+    if (key == "calibration_seconds") baseline.calibration = in.number();
+    else if (key == "calibration_mem_seconds")
+      baseline.mem_calibration = in.number();
+    else if (key != "scenarios") (void)in.skip();
+    else if (listed) in.fail("duplicate \"scenarios\" array");
+    else {
+      listed = true;
+      in.array([&] { baseline.scenarios.push_back(read_bench_scenario(in)); });
+    }
+  });
+  in.finish();
+  if (!listed) in.fail("no \"scenarios\" array");
+  return baseline;
+}
+
+BenchBaseline load_bench_baseline(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) throw std::runtime_error("cannot read " + path);
+  std::ostringstream text;
+  text << file.rdbuf();
+  try {
+    return parse_bench_baseline(text.str(),
+                                std::filesystem::path(path).stem().string());
+  } catch (const json::Error& failure) {
+    throw std::runtime_error(path + ": " + failure.what());
+  }
+}
 
 std::string render_bench_trend(const std::vector<BenchBaseline>& files) {
   // Normalize every file to the last file's machine speed: t * (cal_last
@@ -300,9 +335,10 @@ std::string render_bench_trend(const std::vector<BenchBaseline>& files) {
     std::vector<std::string> row{name};
     double first = -1.0, last = -1.0;
     for (const BenchBaseline& file : files) {
-      double value = scenario_value(file.json, name, "seconds_per_run_min");
-      if (value <= 0.0)  // pre-min schema: fall back to the mean
-        value = scenario_value(file.json, name, "seconds_per_run");
+      const BenchScenario* scenario = file.find(name);
+      double value = scenario ? scenario->seconds_per_run_min : -1.0;
+      if (value <= 0.0 && scenario)  // pre-min schema: fall back to the mean
+        value = scenario->seconds_per_run;
       if (value <= 0.0) {
         row.push_back("-");
         continue;
@@ -350,7 +386,8 @@ std::string render_bench_trend(const std::vector<BenchBaseline>& files) {
   // machine-speed, so no calibration normalization here.
   bool any_rss = false;
   for (const BenchBaseline& file : files)
-    any_rss |= file.json.find("\"peak_rss_kb\":") != std::string::npos;
+    for (const BenchScenario& scenario : file.scenarios)
+      any_rss |= scenario.peak_rss_kb >= 0.0;
   if (!any_rss) return table.to_string() + machine;
 
   std::vector<std::string> rss_headers{"scenario"};
@@ -361,7 +398,8 @@ std::string render_bench_trend(const std::vector<BenchBaseline>& files) {
     std::vector<std::string> row{name};
     bool any = false;
     for (const BenchBaseline& file : files) {
-      const double kb = scenario_value(file.json, name, "peak_rss_kb");
+      const BenchScenario* scenario = file.find(name);
+      const double kb = scenario ? scenario->peak_rss_kb : -1.0;
       if (kb <= 0.0) {
         row.push_back("-");
         continue;

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/runner.hpp"
@@ -80,17 +81,44 @@ void append_check_records(const std::string& path, const CheckReport& report);
 [[nodiscard]] std::string render_experiments_markdown(
     const std::vector<CheckReport>& reports);
 
-/// One committed BENCH_*.json perf baseline, already loaded into memory:
-/// a short label (the file stem), the raw JSON text as bench_json wrote
-/// it, and the file's machine probes (0 when the file predates them) —
+/// One scenario object of a coredis-bench-v1 report (bench_json,
+/// bench_serve): the fields the trend table and the --check gates read;
+/// a field the object does not record reads -1.
+struct BenchScenario {
+  std::string name;
+  double runs = -1.0;
+  double seconds_per_run = -1.0;
+  double seconds_per_run_min = -1.0;
+  double makespan_mean = -1.0;
+  double peak_rss_kb = -1.0;
+};
+
+/// One committed BENCH_*.json perf baseline, parsed: a short label (the
+/// file stem), the machine probes (0 when the file predates them) —
 /// `calibration` the single-core compute spin, `mem_calibration` the
-/// memory-bandwidth sweep added in PR 10.
+/// memory-bandwidth sweep — and the scenarios, one per element of the
+/// file's "scenarios" array, in order.
 struct BenchBaseline {
   std::string label;
-  std::string json;
   double calibration = 0.0;
   double mem_calibration = 0.0;
+  std::vector<BenchScenario> scenarios;
+
+  /// The first scenario called `name`, or nullptr.
+  [[nodiscard]] const BenchScenario* find(std::string_view name) const;
 };
+
+/// Parse a coredis-bench-v1 report: strict JSON, unknown fields skipped,
+/// exactly one "scenarios" array whose objects all carry a name. Throws
+/// json::Error (util/json.hpp) with the byte offset otherwise.
+[[nodiscard]] BenchBaseline parse_bench_baseline(std::string_view text,
+                                                 std::string label);
+
+/// Read and parse the report at `path`, labelled with the file stem —
+/// the one baseline loader behind bench_json --check, bench_serve
+/// --check and bench_trend. Throws std::runtime_error naming the path,
+/// and the byte offset when the file is not a report.
+[[nodiscard]] BenchBaseline load_bench_baseline(const std::string& path);
 
 /// Render the BENCH_* trajectory table (tools/bench_trend): one row per
 /// scenario in order of first appearance, each file's min-over-runs

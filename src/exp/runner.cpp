@@ -16,6 +16,7 @@
 #include "fault/weibull.hpp"
 #include "policy/registry.hpp"
 #include "speedup/synthetic.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
 
@@ -245,6 +246,27 @@ PointResult run_point(const Scenario& scenario,
                                << " baseline mean="
                                << point.baseline_makespan.mean());
   return point;
+}
+
+void append_config_results(std::string& out,
+                           const std::vector<ConfigSpec>& configs,
+                           const CellResult& cell) {
+  out += '[';
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    const core::RunResult& r = cell.results[c];
+    out += c == 0 ? "{\"name\":\"" : ",{\"name\":\"";
+    out += json::escape(configs[c].name);
+    out += "\",\"makespan\":";
+    out += json::format_number(r.makespan);
+    out += ",\"normalized\":";
+    out += json::format_number(r.makespan / cell.baseline);
+    out += ",\"redistributions\":";
+    out += std::to_string(r.redistributions);
+    out += ",\"effective_faults\":";
+    out += std::to_string(r.faults_effective);
+    out += '}';
+  }
+  out += ']';
 }
 
 }  // namespace coredis::exp

@@ -47,6 +47,13 @@ struct CellResult {
   std::vector<core::RunResult> results;  ///< one per ConfigSpec, same order
 };
 
+/// Append the JSON array of `cell`'s per-configuration results — name,
+/// makespan, normalized, redistributions, effective_faults; doubles as
+/// %.17g — shared by campaign cell records and serve responses.
+void append_config_results(std::string& out,
+                           const std::vector<ConfigSpec>& configs,
+                           const CellResult& cell);
+
 /// Which dispatch executes a configuration (DESIGN.md section 10.2).
 /// `Registry` — the production path — resolves canonical_policy(spec)
 /// against the policy registry and runs the instantiated policy over

@@ -1,43 +1,15 @@
 #include "serve/protocol.hpp"
 
-#include <cctype>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
-#include "exp/detail/jsonl.hpp"
 #include "exp/scenario_file.hpp"
+#include "util/json.hpp"
 #include "util/units.hpp"
 
 namespace coredis::serve {
 
 namespace {
-
-using exp::detail::json_escape;
-using exp::detail::scan_double;
-using exp::detail::scan_quoted;
-using exp::detail::scan_size;
-
-void skip_ws(const std::string& text, std::size_t& pos) {
-  while (pos < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[pos])))
-    ++pos;
-}
-
-bool expect_char(const std::string& text, std::size_t& pos, char c) {
-  skip_ws(text, pos);
-  if (pos >= text.size() || text[pos] != c) return false;
-  ++pos;
-  return true;
-}
-
-/// %.17g, matching the campaign cell records: doubles round-trip, so two
-/// equal response strings mean bit-equal simulated results.
-std::string format_double(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
 
 bool parse_op(const std::string& text, Op& op) {
   if (text == "ping") op = Op::Ping;
@@ -53,7 +25,6 @@ bool parse_op(const std::string& text, Op& op) {
 
 bool parse_request(const std::string& line, Request& request,
                    std::string& error) {
-  std::size_t pos = 0;
   std::string op_text = "ping";
   std::string scenario_text;
   bool have_scenario = false;
@@ -62,78 +33,55 @@ bool parse_request(const std::string& line, Request& request,
   bool have_policy = false;
   double limit_days = -1.0;
 
-  if (!expect_char(line, pos, '{')) {
-    error = "request is not a JSON object";
-    return false;
-  }
-  skip_ws(line, pos);
-  bool first = true;
-  while (pos < line.size() && line[pos] != '}') {
-    if (!first && !expect_char(line, pos, ',')) {
-      error = "expected ',' between fields";
-      return false;
-    }
-    first = false;
-    skip_ws(line, pos);
-    std::string key;
-    if (!scan_quoted(line, pos, key)) {
-      error = "expected a quoted field name";
-      return false;
-    }
-    if (!expect_char(line, pos, ':')) {
-      error = "expected ':' after field '" + key + "'";
-      return false;
-    }
-    skip_ws(line, pos);
-    bool ok = true;
-    if (key == "op") {
-      ok = scan_quoted(line, pos, op_text);
-    } else if (key == "tenant") {
-      ok = scan_quoted(line, pos, request.tenant);
-      if (ok && request.tenant.empty()) {
-        error = "field 'tenant' must be non-empty";
-        return false;
+  // The field whose value is being read, so a JSON error inside it
+  // names the field; empty between fields.
+  std::string field;
+  const auto reject = [](const std::string& why) {
+    throw std::invalid_argument(why);
+  };
+  try {
+    json::Reader in(line);
+    in.object([&](const std::string& key) {
+      field = key;
+      if (key == "op") {
+        op_text = in.string();
+      } else if (key == "tenant") {
+        request.tenant = in.string();
+        if (request.tenant.empty()) reject("field 'tenant' must be non-empty");
+      } else if (key == "scenario") {
+        scenario_text = in.string();
+        have_scenario = true;
+      } else if (key == "configs") {
+        configs_text = in.string();
+        have_configs = true;
+      } else if (key == "policy") {
+        // Alias for 'configs' aimed at registry policy strings — same
+        // selector grammar, so "policy":"bandit(window=50)" just works.
+        // An unknown policy comes back as a structured error response
+        // naming the token, never a dropped connection.
+        configs_text = in.string();
+        have_policy = true;
+      } else if (key == "id") {
+        request.id = in.u64();
+      } else if (key == "rep") {
+        request.rep = in.u64();
+      } else if (key == "limit_days") {
+        limit_days = in.number();
+        if (!(limit_days > 0.0)) reject("field 'limit_days' must be > 0");
+      } else {
+        reject("unknown field '" + key + "'");
       }
-    } else if (key == "scenario") {
-      ok = scan_quoted(line, pos, scenario_text);
-      have_scenario = ok;
-    } else if (key == "configs") {
-      ok = scan_quoted(line, pos, configs_text);
-      have_configs = ok;
-    } else if (key == "policy") {
-      // Alias for 'configs' aimed at registry policy strings — same
-      // selector grammar, so "policy":"bandit(window=50)" just works.
-      // An unknown policy comes back as a structured error response
-      // naming the token, never a dropped connection.
-      ok = scan_quoted(line, pos, configs_text);
-      have_policy = ok;
-    } else if (key == "id") {
-      ok = scan_size(line, pos, request.id);
-    } else if (key == "rep") {
-      ok = scan_size(line, pos, request.rep);
-    } else if (key == "limit_days") {
-      ok = scan_double(line, pos, limit_days);
-      if (ok && !(limit_days > 0.0)) {
-        error = "field 'limit_days' must be > 0";
-        return false;
-      }
-    } else {
-      error = "unknown field '" + key + "'";
-      return false;
-    }
-    if (!ok) {
-      error = "malformed value for field '" + key + "'";
-      return false;
-    }
-    skip_ws(line, pos);
-  }
-  if (!expect_char(line, pos, '}')) {
-    error = "unterminated request object";
+      field.clear();
+    });
+    in.finish();
+  } catch (const json::Error& failure) {
+    error = field.empty()
+                ? "request is not a well-formed JSON object: " +
+                      std::string(failure.what())
+                : "field '" + field + "' " + failure.what();
     return false;
-  }
-  skip_ws(line, pos);
-  if (pos != line.size()) {
-    error = "trailing characters after the request object";
+  } catch (const std::invalid_argument& failure) {
+    error = failure.what();
     return false;
   }
 
@@ -152,8 +100,8 @@ bool parse_request(const std::string& line, Request& request,
     error = "op '" + op_text + "' requires a 'scenario' field";
     return false;
   }
-  // ';' doubles as a line separator so a scenario fits one JSON string
-  // without literal newlines; the text then parses (and validates)
+  // ';' doubles as a line separator (as does an escaped "\n"), so a
+  // scenario fits one JSON string; the text then parses (and validates)
   // exactly like a scenario file, errors naming the offending key.
   for (char& c : scenario_text)
     if (c == ';') c = '\n';
@@ -179,7 +127,7 @@ std::string error_response(std::uint64_t id, const std::string& error) {
   std::string out = "{\"id\":";
   out += std::to_string(id);
   out += ",\"ok\":false,\"error\":\"";
-  out += json_escape(error);
+  out += json::escape(error);
   out += "\"}";
   return out;
 }
@@ -195,7 +143,7 @@ std::string render_response(const Request& request,
   out += ",\"ok\":true,\"op\":";
   out += request.op == Op::Admit ? "\"admit\"" : "\"what_if\"";
   out += ",\"tenant\":\"";
-  out += json_escape(request.tenant);
+  out += json::escape(request.tenant);
   out += "\",\"rep\":";
   out += std::to_string(request.rep);
   if (request.op == Op::Admit) {
@@ -211,24 +159,10 @@ std::string render_response(const Request& request,
     out += request.limit_seconds >= 0.0 ? "\"limit_days\"" : "\"baseline\"";
   }
   out += ",\"baseline_makespan\":";
-  out += format_double(cell.baseline);
-  out += ",\"configs\":[";
-  for (std::size_t c = 0; c < request.configs.size(); ++c) {
-    const core::RunResult& r = cell.results[c];
-    if (c > 0) out += ',';
-    out += "{\"name\":\"";
-    out += json_escape(request.configs[c].name);
-    out += "\",\"makespan\":";
-    out += format_double(r.makespan);
-    out += ",\"normalized\":";
-    out += format_double(r.makespan / cell.baseline);
-    out += ",\"redistributions\":";
-    out += std::to_string(r.redistributions);
-    out += ",\"effective_faults\":";
-    out += std::to_string(r.faults_effective);
-    out += '}';
-  }
-  out += "]}";
+  out += json::format_number(cell.baseline);
+  out += ",\"configs\":";
+  exp::append_config_results(out, request.configs, cell);
+  out += '}';
   return out;
 }
 

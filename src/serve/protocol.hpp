@@ -5,9 +5,11 @@
 ///
 /// Newline-delimited JSON over a local stream socket: one request object
 /// per line in, one response object per line out, in request order per
-/// connection. The dialect is the exp layer's minimal JSON (see
-/// exp/detail/jsonl.hpp) plus insignificant whitespace between tokens;
-/// fields may appear in any order, unknown fields are an error.
+/// connection. Requests are standard JSON (RFC 8259) read by the strict
+/// util/json reader: every string escape decodes, integers are
+/// range-checked, numbers follow the JSON grammar (no NaN, inf or hex),
+/// fields may appear in any order and unknown fields are an error. A
+/// malformed value names its field ("field 'id' out of range at byte 6").
 ///
 /// Requests:
 ///   {"id":1,"op":"ping"}
@@ -18,8 +20,8 @@
 ///   {"id":4,"op":"stats"}
 ///   {"id":5,"op":"shutdown"}
 ///
-/// `scenario` is scenario-file text with ';' accepted as a line
-/// separator; it parses and validates exactly like a file on disk, so
+/// `scenario` is scenario-file text with ';' or an escaped newline as
+/// the line separator; it parses and validates exactly like a file on disk, so
 /// errors name the offending key. `configs` is the campaign selector
 /// grammar (exp::parse_config_set; default "paper"); `policy` is an
 /// alias for it aimed at registry policy strings such as

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -373,6 +374,72 @@ TEST(CampaignResume, CorruptedLastLineIsDroppedAndRecomputed) {
     std::filesystem::remove(path);
   }
   std::filesystem::remove(full_path);
+}
+
+/// `line` with the value of its first `"key":` replaced by `value`.
+std::string with_value(const std::string& line, const std::string& key,
+                       const std::string& value) {
+  const std::string field = "\"" + key + "\":";
+  const std::size_t at = line.find(field);
+  EXPECT_NE(at, std::string::npos) << key;
+  const std::size_t begin = at + field.size();
+  const std::size_t end = line.find_first_of(",}", begin);
+  return line.substr(0, begin) + value + line.substr(end);
+}
+
+/// The text of the first `"key":` value in `line`.
+std::string value_of(const std::string& line, const std::string& key) {
+  const std::string field = "\"" + key + "\":";
+  const std::size_t begin = line.find(field) + field.size();
+  return line.substr(begin, line.find_first_of(",}", begin) - begin);
+}
+
+TEST(CampaignResume, RecordsThatDoNotReadBackExactlyAreCorrupt) {
+  const Campaign campaign = parse_campaign(kSmokeCampaign);
+  const auto path = temp_jsonl("out_of_range");
+  std::filesystem::remove(path);
+  GridRunOptions options;
+  options.jsonl_path = path.string();
+  (void)run_campaign(campaign, options);
+  const std::vector<std::string> lines = lines_of(read_file(path));
+  const std::string& record = lines[2];  // cell 1: point 0, rep 1
+
+  // Each variant reads back as the record's own values under a wrapping
+  // or strtod-style scanner, or carries a normalized value its makespan
+  // no longer produces; all must be refused, so the last record is
+  // dropped as a corrupt tail.
+  const std::string baseline = value_of(record, "baseline");
+  char hex[64];
+  std::snprintf(hex, sizeof hex, "%a", std::strtod(baseline.c_str(), nullptr));
+  const std::string wrap32 = std::to_string(
+      std::stoull(value_of(record, "redistributions")) + (1ULL << 32));
+  const std::string wrap32_faults = std::to_string(
+      std::stoull(value_of(record, "effective_faults")) + (1ULL << 32));
+  const std::vector<std::string> variants = {
+      with_value(record, "cell", "18446744073709551617"),
+      with_value(record, "point", "18446744073709551616"),
+      with_value(record, "rep", "18446744073709551617"),
+      with_value(record, "redistributions", wrap32),
+      with_value(record, "effective_faults", wrap32_faults),
+      with_value(record, "baseline", "+" + baseline),
+      with_value(record, "baseline", hex),
+      with_value(record, "baseline", "inf"),
+      with_value(record, "baseline", "nan"),
+      with_value(record, "normalized", "0.5"),
+  };
+  for (const std::string& variant : variants) {
+    write_file(path, lines[0] + '\n' + lines[1] + '\n' + variant + '\n');
+    JsonlCoverage coverage;
+    (void)summarize_jsonl(campaign, path.string(), &coverage);
+    EXPECT_EQ(coverage.cells_present, 1u) << variant;
+    EXPECT_TRUE(coverage.dropped_corrupt_tail) << variant;
+  }
+  // The untouched record still reads back.
+  write_file(path, lines[0] + '\n' + lines[1] + '\n' + record + '\n');
+  JsonlCoverage coverage;
+  (void)summarize_jsonl(campaign, path.string(), &coverage);
+  EXPECT_EQ(coverage.cells_present, 2u);
+  std::filesystem::remove(path);
 }
 
 TEST(CampaignResume, MismatchedCampaignIsRefused) {

@@ -48,6 +48,7 @@
 #include "util/contracts.hpp"
 #include "util/csv.hpp"
 #include "util/indexed_heap.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
 #include "util/plot.hpp"

@@ -189,26 +189,26 @@ TEST(Report, CheckRecordsRejectMalformedLines) {
 /// is twice as fast (calibration 0.005 vs 0.010), so its 10 ms run
 /// normalizes to 20 ms on the latest machine.
 BenchBaseline seed_baseline() {
-  return {"BENCH_PR2",
-          "{\n"
-          "  \"calibration_seconds\": 0.005,\n"
-          "  \"scenarios\": [\n"
-          "    { \"name\": \"smoke_a\", \"seconds_per_run_min\": 0.010 }\n"
-          "  ]\n"
-          "}\n",
-          0.005};
+  return parse_bench_baseline(
+      "{\n"
+      "  \"calibration_seconds\": 0.005,\n"
+      "  \"scenarios\": [\n"
+      "    { \"name\": \"smoke_a\", \"seconds_per_run_min\": 0.010 }\n"
+      "  ]\n"
+      "}\n",
+      "BENCH_PR2");
 }
 
 BenchBaseline latest_baseline() {
-  return {"BENCH_PR6",
-          "{\n"
-          "  \"calibration_seconds\": 0.010,\n"
-          "  \"scenarios\": [\n"
-          "    { \"name\": \"smoke_a\", \"seconds_per_run_min\": 0.012 },\n"
-          "    { \"name\": \"smoke_b\", \"seconds_per_run_min\": 0.020 }\n"
-          "  ]\n"
-          "}\n",
-          0.010};
+  return parse_bench_baseline(
+      "{\n"
+      "  \"calibration_seconds\": 0.010,\n"
+      "  \"scenarios\": [\n"
+      "    { \"name\": \"smoke_a\", \"seconds_per_run_min\": 0.012 },\n"
+      "    { \"name\": \"smoke_b\", \"seconds_per_run_min\": 0.020 }\n"
+      "  ]\n"
+      "}\n",
+      "BENCH_PR6");
 }
 
 TEST(Report, BenchTrendGolden) {
@@ -251,19 +251,19 @@ TEST(Report, BenchTrendAppendsThePeakRssSeriesWhenRecorded) {
   // Only the newest file records peak_rss_kb (the field arrived with the
   // PR 7 bench schema): the timing table is unchanged and the RSS table
   // shows "-" for the older file, skipping scenarios nobody measured.
-  BenchBaseline with_rss{"BENCH_PR7",
-                         "{\n"
-                         "  \"calibration_seconds\": 0.010,\n"
-                         "  \"scenarios\": [\n"
-                         "    { \"name\": \"smoke_a\", "
-                         "\"seconds_per_run_min\": 0.012, "
-                         "\"peak_rss_kb\": 10240 },\n"
-                         "    { \"name\": \"grid_spill\", "
-                         "\"seconds_per_run_min\": 0.500, "
-                         "\"peak_rss_kb\": 39936 }\n"
-                         "  ]\n"
-                         "}\n",
-                         0.010};
+  const BenchBaseline with_rss =
+      parse_bench_baseline("{\n"
+                           "  \"calibration_seconds\": 0.010,\n"
+                           "  \"scenarios\": [\n"
+                           "    { \"name\": \"smoke_a\", "
+                           "\"seconds_per_run_min\": 0.012, "
+                           "\"peak_rss_kb\": 10240 },\n"
+                           "    { \"name\": \"grid_spill\", "
+                           "\"seconds_per_run_min\": 0.500, "
+                           "\"peak_rss_kb\": 39936 }\n"
+                           "  ]\n"
+                           "}\n",
+                           "BENCH_PR7");
   const std::string expected =
       "  scenario  BENCH_PR2 (ms)  BENCH_PR7 (ms)  speedup\n"
       "---------------------------------------------------\n"
@@ -299,6 +299,72 @@ TEST(Report, BenchTrendSeedOnlyAndEmptyListsAreNotErrors) {
   EXPECT_EQ(render_bench_trend({}),
             "scenario  speedup\n"
             "-----------------\n");
+}
+
+/// A temp copy of `text`, for the file-level loader tests.
+std::filesystem::path temp_baseline(const std::string& tag,
+                                    const std::string& text) {
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("coredis_report_test_" + tag + ".json");
+  std::ofstream file(path, std::ios::binary | std::ios::trunc);
+  file << text;
+  return path;
+}
+
+std::string committed_baseline() {
+  std::ifstream file(std::string(COREDIS_SOURCE_DIR) + "/BENCH_PR13.json",
+                     std::ios::binary);
+  std::ostringstream text;
+  text << file.rdbuf();
+  return text.str();
+}
+
+TEST(Report, BenchBaselineLoaderReadsACommittedBaseline) {
+  const auto path = temp_baseline("committed", committed_baseline());
+  const BenchBaseline baseline = load_bench_baseline(path.string());
+  EXPECT_EQ(baseline.label, "coredis_report_test_committed");
+  EXPECT_GT(baseline.calibration, 0.0);
+  EXPECT_GT(baseline.mem_calibration, 0.0);
+  const BenchScenario* serve = baseline.find("serve_p99");
+  ASSERT_NE(serve, nullptr);
+  EXPECT_GT(serve->seconds_per_run_min, 0.0);
+  EXPECT_EQ(serve->peak_rss_kb, 0.0);
+  EXPECT_EQ(baseline.find("no_such_scenario"), nullptr);
+  std::filesystem::remove(path);
+}
+
+TEST(Report, BenchBaselineLoaderRefusesATruncatedBaseline) {
+  const std::string text = committed_baseline();
+  ASSERT_GT(text.size(), 100u);
+  const auto path = temp_baseline("truncated", text.substr(0, text.size() / 2));
+  try {
+    (void)load_bench_baseline(path.string());
+    FAIL() << "a truncated baseline must not load";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(path.string()), std::string::npos) << what;
+    EXPECT_NE(what.find(" at byte "), std::string::npos) << what;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Report, BenchBaselineLoaderRefusesAFileThatIsNotJson) {
+  for (const char* text : {"not json at all\n", "", "{\"calibration_seconds\": 1}",
+                           "{\"scenarios\": [{\"runs\": 3}]}",
+                           "{\"scenarios\": [{\"name\": \"a\", \"runs\": \"3\"}]}"}) {
+    const auto path = temp_baseline("not_json", text);
+    try {
+      (void)load_bench_baseline(path.string());
+      FAIL() << "must not load: " << text;
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(path.string() + ": "), std::string::npos) << what;
+      EXPECT_NE(what.find(" at byte "), std::string::npos) << what;
+    }
+    std::filesystem::remove(path);
+  }
+  EXPECT_THROW((void)load_bench_baseline("/nonexistent/BENCH_x.json"),
+               std::runtime_error);
 }
 
 TEST(Report, ExperimentsMarkdownGolden) {

@@ -290,6 +290,85 @@ TEST(Protocol, ErrorsNameTheProblem) {
   EXPECT_EQ(request.id, 42u);
 }
 
+TEST(Protocol, StringsDecodeStandardJsonEscapes) {
+  // An escaped newline separates scenario assignments exactly like ';'.
+  Request with_newline;
+  Request with_semicolon;
+  std::string error;
+  ASSERT_TRUE(parse_request(
+      R"({"id":1,"op":"what_if","scenario":"n = 6\np = 24"})", with_newline,
+      error))
+      << error;
+  ASSERT_TRUE(parse_request(
+      R"({"id":1,"op":"what_if","scenario":"n = 6;p = 24"})", with_semicolon,
+      error))
+      << error;
+  EXPECT_EQ(with_newline.scenario_text, with_semicolon.scenario_text);
+  EXPECT_EQ(with_newline.scenario.p, 24);
+
+  Request request;
+  ASSERT_TRUE(parse_request(R"({"id":2,"tenant":"a\tb"})", request, error))
+      << error;
+  EXPECT_EQ(request.tenant, "a\tb");
+  ASSERT_TRUE(parse_request(
+      R"({"id":3,"tenant":"\"\\\/\b\f\n\r\u00e9\ud83d\ude00"})", request,
+      error))
+      << error;
+  EXPECT_EQ(request.tenant, "\"\\/\b\f\n\r\xC3\xA9\xF0\x9F\x98\x80");
+
+  // A lone surrogate has no UTF-8 form: a named error, not mojibake.
+  for (const char* lone : {R"({"id":4,"tenant":"\ud800"})",
+                           R"({"id":4,"tenant":"\udc00x"})",
+                           R"({"id":4,"tenant":"\ud800\u0041"})"}) {
+    EXPECT_FALSE(parse_request(lone, request, error)) << lone;
+    EXPECT_NE(error.find("field 'tenant' lone surrogate"), std::string::npos)
+        << error;
+    EXPECT_EQ(request.id, 4u);
+  }
+}
+
+TEST(Protocol, IntegerFieldsRejectOverflowInsteadOfWrapping) {
+  Request request;
+  std::string error;
+  ASSERT_TRUE(parse_request(R"({"id":18446744073709551615,"op":"ping"})",
+                            request, error))
+      << error;
+  EXPECT_EQ(request.id, 18446744073709551615u);
+  // 2^64 + 1 used to wrap to 1.
+  EXPECT_FALSE(parse_request(R"({"id":18446744073709551617,"op":"ping"})",
+                             request, error));
+  EXPECT_NE(error.find("field 'id' out of range"), std::string::npos) << error;
+  EXPECT_FALSE(parse_request(
+      R"({"id":5,"op":"what_if","scenario":"n = 6","rep":36893488147419103232})",
+      request, error));
+  EXPECT_NE(error.find("field 'rep' out of range"), std::string::npos)
+      << error;
+  EXPECT_EQ(request.id, 5u);
+  for (const char* bad : {R"({"id":-1})", R"({"id":1.5})", R"({"id":1e3})"}) {
+    EXPECT_FALSE(parse_request(bad, request, error)) << bad;
+    EXPECT_NE(error.find("field 'id'"), std::string::npos) << error;
+  }
+}
+
+TEST(Protocol, NumbersFollowTheJsonGrammar) {
+  Request request;
+  std::string error;
+  for (const char* value : {"inf", "nan", "0x10", "+1", ".5", "1.", "1e",
+                            "Infinity", "01"}) {
+    const std::string line =
+        std::string(R"({"id":1,"op":"admit","scenario":"n = 6; p = 24",)") +
+        R"("limit_days":)" + value + "}";
+    EXPECT_FALSE(parse_request(line, request, error)) << value;
+    EXPECT_NE(error.find("field 'limit_days'"), std::string::npos)
+        << value << ": " << error;
+  }
+  ASSERT_TRUE(parse_request(
+      R"({"id":1,"op":"admit","scenario":"n = 6; p = 24","limit_days":2.5e1})",
+      request, error))
+      << error;
+  EXPECT_DOUBLE_EQ(request.limit_seconds, 25.0 * 86400.0);
+}
+
 TEST(Protocol, AdmitDecidesAgainstLimitAndBaseline) {
   Request request;
   std::string error;

@@ -2,17 +2,17 @@
 
 /// \file bench_common.hpp
 /// Shared machinery of the bench harnesses (bench_json, bench_serve):
-/// the machine-speed calibration probe and the narrow reader for the
-/// coredis-bench-v1 JSON this repository's tools emit. Keeping the two
-/// binaries on one probe and one reader is what makes their gates
-/// comparable — a serve baseline normalizes exactly like an engine one.
+/// the machine-speed calibration probes. Both binaries read baselines
+/// through the library's one loader (exp::load_bench_baseline in
+/// exp/report.hpp). Keeping the two on one probe and one loader is what
+/// makes their gates comparable — a serve baseline normalizes exactly
+/// like an engine one.
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -83,44 +83,6 @@ inline double blended_speed_ratio(double my_cal, double base_cal,
   const double compute = base_cal > 0.0 ? my_cal / base_cal : 1.0;
   if (my_mem <= 0.0 || base_mem <= 0.0) return compute;
   return std::sqrt(compute * (my_mem / base_mem));
-}
-
-/// Extract `"key": <number>` scoped to the scenario object named `name`
-/// from our own schema (not a general JSON parser; the files it reads
-/// are the ones these tools write). Returns -1 when absent.
-inline double baseline_value(const std::string& json, const std::string& name,
-                             const std::string& key) {
-  // Appends instead of operator+ chains: GCC 12 misfires -Wrestrict on the
-  // latter (GCC PR105329).
-  std::string anchor = "\"name\": \"";
-  anchor += name;
-  anchor += '"';
-  const std::size_t at = json.find(anchor);
-  if (at == std::string::npos) return -1.0;
-  const std::size_t end = json.find('}', at);
-  std::string field = "\"";
-  field += key;
-  field += "\":";
-  const std::size_t k = json.find(field, at);
-  if (k == std::string::npos || k > end) return -1.0;
-  return std::strtod(json.c_str() + k + field.size(), nullptr);
-}
-
-/// The report's own calibration probe, or `fallback` for files written
-/// before the field existed.
-inline double baseline_calibration(const std::string& json, double fallback) {
-  const std::size_t at = json.find("\"calibration_seconds\":");
-  if (at == std::string::npos) return fallback;
-  return std::strtod(json.c_str() + at + 22, nullptr);
-}
-
-/// The report's memory-bandwidth probe, or `fallback` (use 0 to detect
-/// pre-PR10 files without the field).
-inline double baseline_mem_calibration(const std::string& json,
-                                       double fallback) {
-  const std::size_t at = json.find("\"calibration_mem_seconds\":");
-  if (at == std::string::npos) return fallback;
-  return std::strtod(json.c_str() + at + 26, nullptr);
 }
 
 /// Read a whole file; throws with the path on failure.

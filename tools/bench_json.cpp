@@ -64,12 +64,14 @@
 #include "core/engine.hpp"
 #include "exp/campaign.hpp"
 #include "exp/cost_model.hpp"
+#include "exp/report.hpp"
 #include "exp/storage.hpp"
 #include "extensions/online.hpp"
 #include "fault/exponential.hpp"
 #include "fault/weibull.hpp"
 #include "speedup/synthetic.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -566,21 +568,24 @@ Measurement measure_point(const GridPoint& point, int runs) {
 std::string to_json(const std::vector<Measurement>& measurements,
                     double calibration, double mem_calibration) {
   std::ostringstream out;
-  out.precision(17);
+  using json::format_number;
   out << "{\n  \"schema\": \"coredis-bench-v1\",\n  \"calibration_seconds\": "
-      << calibration << ",\n  \"calibration_mem_seconds\": " << mem_calibration
+      << format_number(calibration) << ",\n  \"calibration_mem_seconds\": "
+      << format_number(mem_calibration)
       << ",\n  \"harness_peak_rss_kb\": " << self_peak_rss_kb()
       << ",\n  \"scenarios\": [\n";
   for (std::size_t i = 0; i < measurements.size(); ++i) {
     const Measurement& m = measurements[i];
-    out << "    {\"name\": \"" << m.point.name << "\", \"n\": " << m.point.n
-        << ", \"p\": " << m.point.p << ", \"runs\": " << m.runs
-        << ",\n     \"seconds_per_run\": " << m.seconds_per_run
-        << ", \"seconds_per_run_min\": " << m.seconds_per_run_min
-        << ", \"events_per_sec\": " << m.events_per_sec
-        << ",\n     \"faults_per_run\": " << m.faults_per_run
-        << ", \"checkpoints_per_run\": " << m.checkpoints_per_run
-        << ", \"makespan_mean\": " << m.makespan_mean
+    out << "    {\"name\": \"" << json::escape(m.point.name)
+        << "\", \"n\": " << m.point.n << ", \"p\": " << m.point.p
+        << ", \"runs\": " << m.runs << ",\n     \"seconds_per_run\": "
+        << format_number(m.seconds_per_run)
+        << ", \"seconds_per_run_min\": " << format_number(m.seconds_per_run_min)
+        << ", \"events_per_sec\": " << format_number(m.events_per_sec)
+        << ",\n     \"faults_per_run\": " << format_number(m.faults_per_run)
+        << ", \"checkpoints_per_run\": "
+        << format_number(m.checkpoints_per_run)
+        << ", \"makespan_mean\": " << format_number(m.makespan_mean)
         << ", \"peak_rss_kb\": " << m.peak_rss_kb << "}"
         << (i + 1 < measurements.size() ? "," : "") << "\n";
   }
@@ -725,7 +730,8 @@ int main(int argc, char** argv) {
     const std::string baseline_path = cli.get_string("check", "");
     if (baseline_path.empty()) return 0;
 
-    const std::string baseline = bench::slurp_file(baseline_path);
+    const exp::BenchBaseline baseline =
+        exp::load_bench_baseline(baseline_path);
 
     // Normalize by the two machines' probes — compute and memory
     // bandwidth, blended geometrically (bench_common.hpp): the
@@ -733,23 +739,23 @@ int main(int argc, char** argv) {
     // deliver", so the tolerance is a regression margin, not a
     // hardware-speed ratio. Baselines without one or both probes
     // degrade to the compute ratio or raw seconds.
-    const double base_cal = bench::baseline_calibration(baseline, calibration);
-    const double base_mem = bench::baseline_mem_calibration(baseline, 0.0);
     const double speed_ratio = bench::blended_speed_ratio(
-        calibration, base_cal, mem_calibration, base_mem);
+        calibration, baseline.calibration, mem_calibration,
+        baseline.mem_calibration);
     std::fprintf(stderr, "machine speed vs baseline: %.2fx\n", speed_ratio);
 
     bool regressed = false;
     bool drifted = false;
+    std::size_t compared = 0;
     for (const Measurement& m : measurements) {
       // Gate on the fastest run of each side: the minimum is the classic
       // noise-robust benchmark estimator (scheduler hiccups only ever add
       // time), so a small grid point does not flake on one slow run.
-      double base =
-          bench::baseline_value(baseline, m.point.name, "seconds_per_run_min");
+      const exp::BenchScenario* recorded = baseline.find(m.point.name);
+      double base = recorded ? recorded->seconds_per_run_min : -1.0;
       double mine = m.seconds_per_run_min;
-      if (base <= 0.0) {  // pre-min baseline: fall back to the mean
-        base = bench::baseline_value(baseline, m.point.name, "seconds_per_run");
+      if (base <= 0.0 && recorded) {  // pre-min baseline: fall back to the mean
+        base = recorded->seconds_per_run;
         mine = m.seconds_per_run;
       }
       if (base <= 0.0) {
@@ -757,7 +763,8 @@ int main(int argc, char** argv) {
                      m.point.name.c_str());
         continue;
       }
-      const double base_runs = bench::baseline_value(baseline, m.point.name, "runs");
+      ++compared;
+      const double base_runs = recorded->runs;
       if (base_runs > 0.0 && static_cast<int>(base_runs) != m.runs) {
         std::fprintf(stderr,
                      "%-16s warning: %d runs vs %d in baseline — run seeds "
@@ -767,8 +774,7 @@ int main(int argc, char** argv) {
       } else if (check_makespan) {
         // Same workload definition: the simulated results must be the
         // exact bits the baseline recorded (%.17g round-trips doubles).
-        const double base_makespan =
-            bench::baseline_value(baseline, m.point.name, "makespan_mean");
+        const double base_makespan = recorded->makespan_mean;
         if (base_makespan > 0.0 && base_makespan != m.makespan_mean) {
           drifted = true;
           std::fprintf(stderr,
@@ -782,6 +788,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%-16s %.2fx vs baseline (normalized)%s\n",
                    m.point.name.c_str(), ratio, bad ? "  REGRESSION" : "");
     }
+    // A gate that compared nothing would pass vacuously.
+    if (compared == 0)
+      throw std::runtime_error("no measured scenario is in baseline " +
+                               baseline_path);
     if (drifted)
       std::fprintf(stderr, "makespan drift detected: simulated results "
                            "changed relative to the baseline\n");

@@ -30,12 +30,15 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "exp/report.hpp"
 #include "util/atomic_file.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define COREDIS_BENCH_SERVE_POSIX 1
@@ -141,6 +144,24 @@ std::string round_trip(const std::string& socket_path,
   return line;
 }
 
+/// Whether `line` is a well-formed {"ok":true,...} reply; stores the
+/// reply's baseline_makespan, when it carries one, into `makespan`.
+bool reply_ok(const std::string& line, double* makespan = nullptr) {
+  bool ok = false;
+  try {
+    json::Reader in(line);
+    in.object([&](const std::string& key) {
+      if (key == "ok") ok = in.boolean();
+      else if (key == "baseline_makespan" && makespan) *makespan = in.number();
+      else (void)in.skip();
+    });
+    in.finish();
+  } catch (const json::Error&) {
+    return false;
+  }
+  return ok;
+}
+
 std::string make_request(std::uint64_t id, int scenario, int rep,
                          int config_set) {
   std::string line = "{\"id\":";
@@ -171,7 +192,7 @@ void run_connection(Connection& conn) {
         return;
       }
       const Clock::time_point now = Clock::now();
-      if (line.find("\"ok\":true") == std::string::npos) {
+      if (!reply_ok(line)) {
         conn.failure = "error response: " + line;
         return;
       }
@@ -210,24 +231,24 @@ struct ServeMeasurement {
 /// One scenario object in bench_json's exact layout, so bench_trend and
 /// the --check readers treat serve entries like any other scenario.
 std::string scenario_object(const ServeMeasurement& m) {
+  using json::format_number;
   std::ostringstream out;
-  out.precision(17);
-  out << "    {\"name\": \"" << m.name << "\", \"n\": 6, \"p\": 24"
-      << ", \"runs\": " << m.requests
-      << ",\n     \"seconds_per_run\": " << m.seconds
-      << ", \"seconds_per_run_min\": " << m.seconds
-      << ", \"events_per_sec\": " << m.throughput
+  out << "    {\"name\": \"" << json::escape(m.name)
+      << "\", \"n\": 6, \"p\": 24, \"runs\": " << m.requests
+      << ",\n     \"seconds_per_run\": " << format_number(m.seconds)
+      << ", \"seconds_per_run_min\": " << format_number(m.seconds)
+      << ", \"events_per_sec\": " << format_number(m.throughput)
       << ",\n     \"faults_per_run\": 0, \"checkpoints_per_run\": 0"
-      << ", \"makespan_mean\": " << m.makespan << ", \"peak_rss_kb\": 0}";
+      << ", \"makespan_mean\": " << format_number(m.makespan)
+      << ", \"peak_rss_kb\": 0}";
   return out.str();
 }
 
 std::string to_json(const std::vector<ServeMeasurement>& measurements,
                     double calibration) {
   std::ostringstream out;
-  out.precision(17);
   out << "{\n  \"schema\": \"coredis-bench-v1\",\n  \"calibration_seconds\": "
-      << calibration << ",\n  \"scenarios\": [\n";
+      << json::format_number(calibration) << ",\n  \"scenarios\": [\n";
   for (std::size_t i = 0; i < measurements.size(); ++i)
     out << scenario_object(measurements[i])
         << (i + 1 < measurements.size() ? "," : "") << "\n";
@@ -237,40 +258,42 @@ std::string to_json(const std::vector<ServeMeasurement>& measurements,
 
 /// Splice the serve_* scenario objects into an existing coredis-bench-v1
 /// report: drop any previous serve_* entries, append ours, keep
-/// everything else byte-identical. Written crash-atomically so a killed
-/// append never truncates a committed baseline.
+/// everything else byte-identical — the kept objects and the text around
+/// the scenarios array are copied from the reader's raw spans. The shared
+/// loader validates the file first (failing with its path and byte
+/// offset) and names the array's elements in order. Written
+/// crash-atomically so a killed append never truncates a baseline.
 void append_to_report(const std::string& path,
                       const std::vector<ServeMeasurement>& measurements) {
-  const std::string json = bench::slurp_file(path);
-  const std::size_t array_at = json.find("\"scenarios\": [");
-  const std::size_t array_open = json.find('[', array_at);
-  const std::size_t array_close = json.find("\n  ]", array_open);
-  if (array_at == std::string::npos || array_close == std::string::npos)
-    throw std::runtime_error(path + " is not a coredis-bench-v1 report");
-
-  // Scenario objects are flat (no nested braces): split on {...} pairs.
+  const exp::BenchBaseline report = exp::load_bench_baseline(path);
+  const std::string text = bench::slurp_file(path);
+  std::string_view array;
+  json::Reader in(text);
+  in.object([&](const std::string& key) {
+    const std::string_view value = in.skip();
+    if (key == "scenarios") array = value;
+  });
   std::vector<std::string> objects;
-  for (std::size_t at = array_open; at < array_close;) {
-    const std::size_t open = json.find('{', at);
-    if (open == std::string::npos || open > array_close) break;
-    const std::size_t close = json.find('}', open);
-    objects.push_back(json.substr(open, close - open + 1));
-    at = close + 1;
-  }
-  std::erase_if(objects, [](const std::string& object) {
-    return object.find("\"name\": \"serve_") != std::string::npos;
+  json::Reader items(array);
+  std::size_t index = 0;
+  items.array([&] {
+    const std::string_view object = items.skip();
+    if (!report.scenarios.at(index++).name.starts_with("serve_"))
+      objects.emplace_back(object);
   });
   for (const ServeMeasurement& m : measurements)
     objects.push_back(scenario_object(m).substr(4));  // indent added below
 
-  std::string out = json.substr(0, array_open + 1);
+  const std::size_t open = static_cast<std::size_t>(array.data() - text.data());
+  std::string out = text.substr(0, open + 1);
   out += '\n';
   for (std::size_t i = 0; i < objects.size(); ++i) {
     out += "    ";
     out += objects[i];
     out += i + 1 < objects.size() ? ",\n" : "\n";
   }
-  out += json.substr(array_close + 1);
+  out += "  ";
+  out += text.substr(open + array.size() - 1);  // from the closing ']'
 
   const std::string temp = atomic_temp_path(path);
   {
@@ -327,18 +350,16 @@ int run(int argc, char** argv) {
   double pinned_makespan = 0.0;
   for (int scenario = 0; scenario < 2; ++scenario)
     for (int rep = 0; rep < kReps; ++rep) {
-      const std::string reply = round_trip(
+      const std::string line = round_trip(
           socket_path, make_request(1000u + static_cast<std::uint64_t>(
                                                scenario * kReps + rep),
                                     scenario, rep, 0));
-      if (reply.find("\"ok\":true") == std::string::npos)
-        throw std::runtime_error("warm-up request failed: " + reply);
-      if (scenario == 0 && rep == 0) {
-        const std::size_t at = reply.find("\"baseline_makespan\":");
-        if (at == std::string::npos)
-          throw std::runtime_error("no baseline_makespan in: " + reply);
-        pinned_makespan = std::strtod(reply.c_str() + at + 20, nullptr);
-      }
+      double makespan = -1.0;
+      if (!reply_ok(line, &makespan))
+        throw std::runtime_error("warm-up request failed: " + line);
+      if (makespan < 0.0)
+        throw std::runtime_error("no baseline_makespan in: " + line);
+      if (scenario == 0 && rep == 0) pinned_makespan = makespan;
     }
 
   // Open-loop Poisson schedule, pinned by --seed: gap i ~ Exp(rate).
@@ -424,25 +445,27 @@ int run(int argc, char** argv) {
   int exit_code = 0;
   const std::string baseline_path = cli.get_string("check", "");
   if (!baseline_path.empty()) {
-    const std::string baseline = bench::slurp_file(baseline_path);
-    const double base_cal = bench::baseline_calibration(baseline, calibration);
-    const double speed_ratio = base_cal > 0.0 ? calibration / base_cal : 1.0;
+    const exp::BenchBaseline baseline =
+        exp::load_bench_baseline(baseline_path);
+    const double speed_ratio =
+        baseline.calibration > 0.0 ? calibration / baseline.calibration : 1.0;
     std::fprintf(stderr, "machine speed vs baseline: %.2fx\n", speed_ratio);
+    std::size_t compared = 0;
     for (const ServeMeasurement& m : measurements) {
-      const double base =
-          bench::baseline_value(baseline, m.name, "seconds_per_run_min");
-      if (base <= 0.0) {
+      const exp::BenchScenario* recorded = baseline.find(m.name);
+      if (recorded == nullptr || recorded->seconds_per_run_min <= 0.0) {
         std::fprintf(stderr, "%-10s not in baseline; skipped\n",
                      m.name.c_str());
         continue;
       }
-      const double ratio = m.seconds / (base * speed_ratio);
+      ++compared;
+      const double ratio =
+          m.seconds / (recorded->seconds_per_run_min * speed_ratio);
       const bool bad = ratio > tolerance;
       if (bad) exit_code = 1;
       std::fprintf(stderr, "%-10s %.2fx vs baseline (normalized)%s\n",
                    m.name.c_str(), ratio, bad ? "  REGRESSION" : "");
-      const double base_makespan =
-          bench::baseline_value(baseline, m.name, "makespan_mean");
+      const double base_makespan = recorded->makespan_mean;
       if (base_makespan > 0.0 && base_makespan != m.makespan) {
         exit_code = 1;
         std::fprintf(stderr,
@@ -450,12 +473,16 @@ int run(int argc, char** argv) {
                      m.name.c_str(), m.makespan, base_makespan);
       }
     }
+    // A gate that compared nothing would pass vacuously.
+    if (compared == 0)
+      throw std::runtime_error("no measured scenario is in baseline " +
+                               baseline_path);
   }
 
   if (cli.get_bool("shutdown")) {
     const std::string reply =
         round_trip(socket_path, "{\"id\":9999,\"op\":\"shutdown\"}");
-    if (reply.find("\"ok\":true") == std::string::npos)
+    if (!reply_ok(reply))
       throw std::runtime_error("shutdown refused: " + reply);
     std::fprintf(stderr, "daemon acknowledged shutdown\n");
   }

@@ -11,18 +11,14 @@
 /// are skipped with a warning and the table renders from whatever
 /// remains — down to the header-only seed table when nothing does — so
 /// the README recipe works on a fresh clone and in CI jobs that prune
-/// old baselines. Reads only the JSON this repository's bench_json
-/// writes (the same narrow scanner, not a general parser; see
-/// exp/report.hpp render_bench_trend). Referenced from README
-/// "Performance".
+/// old baselines. A file that reads but does not parse as a
+/// coredis-bench-v1 report (exp::load_bench_baseline) exits 1 naming the
+/// file and byte offset, so a broken committed baseline cannot silently
+/// turn into "-" cells. Referenced from README "Performance".
 
-#include <cstddef>
-#include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
-#include <sstream>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "exp/report.hpp"
@@ -30,32 +26,17 @@
 int main(int argc, char** argv) {
   std::vector<coredis::exp::BenchBaseline> files;
   for (int a = 1; a < argc; ++a) {
-    std::ifstream in(argv[a]);
-    if (!in) {
+    if (!std::ifstream(argv[a])) {
       std::cerr << "bench_trend: skipping unreadable baseline " << argv[a]
                 << "\n";
       continue;
     }
-    std::ostringstream text;
-    text << in.rdbuf();
-    coredis::exp::BenchBaseline file;
-    file.label = argv[a];
-    const std::size_t slash = file.label.find_last_of('/');
-    if (slash != std::string::npos) file.label = file.label.substr(slash + 1);
-    const std::size_t dot = file.label.find_last_of('.');
-    if (dot != std::string::npos) file.label = file.label.substr(0, dot);
-    file.json = text.str();
-    const std::size_t cal = file.json.find("\"calibration_seconds\":");
-    file.calibration =
-        cal == std::string::npos
-            ? 0.0
-            : std::strtod(file.json.c_str() + cal + 22, nullptr);
-    const std::size_t mem = file.json.find("\"calibration_mem_seconds\":");
-    file.mem_calibration =
-        mem == std::string::npos
-            ? 0.0
-            : std::strtod(file.json.c_str() + mem + 26, nullptr);
-    files.push_back(std::move(file));
+    try {
+      files.push_back(coredis::exp::load_bench_baseline(argv[a]));
+    } catch (const std::exception& failure) {
+      std::cerr << "bench_trend: " << failure.what() << "\n";
+      return 1;
+    }
   }
   std::cout << coredis::exp::render_bench_trend(files);
   return 0;
