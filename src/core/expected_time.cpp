@@ -143,10 +143,7 @@ void ExpectedTimeModel::fill_coeffs(int task, int j, Coeffs& c) const {
 void ExpectedTimeModel::grow_even_row(int task, std::size_t h_count) const {
   const auto ti = static_cast<std::size_t>(task);
   auto& row = table_even_[ti];
-  if (row.size() <= h_count) {
-    row.reserve(std::max(h_count + 1, 2 * row.size()));
-    row.resize(h_count + 1);
-  }
+  if (row.size() <= h_count) row.resize(h_count + 1);
   // The SoA mirror grows in lockstep with the dense prefix; reserve all
   // five lanes up front so the per-entry appends never reallocate.
   const bool mirror = !resilience_->fault_free();
@@ -310,7 +307,6 @@ TrEvaluator::TrEvaluator(const ExpectedTimeModel& model, int max_processors)
 void TrEvaluator::Column::extend(std::size_t want) const {
   auto& pm = slot_->prefix_min;
   const std::size_t have = pm.size();
-  pm.reserve(std::max(want, 2 * have));  // columns deepen one probe at a time
   pm.resize(want);
   // Batch fill straight into the column: probe_many streams the raw Eq. 4
   // values (independent expm1 calls overlap in the pipeline), then the

@@ -262,12 +262,7 @@ class ExpectedTimeModel {
     auto& row = (j % 2 == 0 ? table_even_ : table_odd_)[
         static_cast<std::size_t>(task)];
     const auto slot = static_cast<std::size_t>(j) / 2;  // odd j=1 -> 0
-    if (row.size() <= slot) [[unlikely]] {
-      // Geometric growth: columns deepen one probe at a time, and
-      // exact-size resizes would copy the row on every step.
-      row.reserve(std::max(slot + 1, 2 * row.size()));
-      row.resize(slot + 1);
-    }
+    if (row.size() <= slot) [[unlikely]] row.resize(slot + 1);
     Coeffs& c = row[slot];
     if (c.t_ij < 0.0) [[unlikely]]
       fill_coeffs(task, j, c);

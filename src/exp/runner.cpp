@@ -68,26 +68,6 @@ bool same_simulation(const ConfigSpec& a, const ConfigSpec& b) {
          canonical_policy(a) == canonical_policy(b);
 }
 
-core::RunResult from_online(extensions::OnlineResult&& r) {
-  core::RunResult out;
-  out.makespan = r.makespan;
-  out.faults_effective = r.faults_effective;
-  out.redistributions = r.redistributions;
-  out.redistribution_cost = r.redistribution_cost;
-  out.completion_times = std::move(r.completion_times);
-  out.final_allocation = std::move(r.final_allocation);
-  return out;
-}
-
-core::RunResult from_batch(extensions::BatchResult&& r) {
-  core::RunResult out;
-  out.makespan = r.makespan;
-  out.faults_effective = r.faults_effective;
-  out.completion_times = std::move(r.completion_times);
-  out.final_allocation = std::move(r.allocations);
-  return out;
-}
-
 }  // namespace
 
 // The cell workspace (DESIGN.md section 7.1): one engine — hence one
@@ -174,17 +154,19 @@ CellResult CellWorkspace::evaluate(const std::vector<ConfigSpec>& configs,
         cell.results.push_back(engine_.run(*faults, spec.engine));
         break;
       case SchedulerKind::OnlineMalleable:
-        cell.results.push_back(from_online(extensions::run_online(
-            pack_, resilience_, scenario_.p, release_times(), *faults,
-            engine_.model(), engine_.evaluator())));
+        cell.results.push_back(
+            extensions::to_run_result(extensions::run_online(
+                pack_, resilience_, scenario_.p, release_times(), *faults,
+                engine_.model(), engine_.evaluator())));
         break;
       case SchedulerKind::BatchEasy:
       case SchedulerKind::BatchFcfs: {
         extensions::BatchConfig batch;
         batch.backfilling = spec.scheduler == SchedulerKind::BatchEasy;
-        cell.results.push_back(from_batch(extensions::run_batch(
-            pack_, resilience_, scenario_.p, release_times(), batch, *faults,
-            engine_.model(), engine_.evaluator())));
+        cell.results.push_back(
+            extensions::to_run_result(extensions::run_batch(
+                pack_, resilience_, scenario_.p, release_times(), batch,
+                *faults, engine_.model(), engine_.evaluator())));
         break;
       }
       case SchedulerKind::Registry:

@@ -41,6 +41,15 @@ int best_useful_allocation(core::TrEvaluator& evaluator, int task,
   return pmax;
 }
 
+core::RunResult to_run_result(BatchResult&& result) {
+  core::RunResult out;
+  out.makespan = result.makespan;
+  out.faults_effective = result.faults_effective;
+  out.completion_times = std::move(result.completion_times);
+  out.final_allocation = std::move(result.allocations);
+  return out;
+}
+
 BatchResult run_batch(const core::Pack& pack,
                       const checkpoint::Model& resilience, int processors,
                       const std::vector<double>& release_times,
@@ -189,7 +198,7 @@ BatchResult run_batch(const core::Pack& pack,
       const fault::Fault fault = *next_fault;
       next_fault = faults.next();
       // Attribute the fault: processor indices [0, p) are laid out over
-      // the running jobs in start order, idle slots last.
+      // the running jobs in job index order, idle slots last.
       int cursor = 0;
       int owner = -1;
       for (int i = 0; i < n; ++i) {

@@ -26,6 +26,7 @@
 #include "checkpoint/model.hpp"
 #include "core/expected_time.hpp"
 #include "core/pack.hpp"
+#include "core/types.hpp"
 #include "fault/generator.hpp"
 
 namespace coredis::extensions {
@@ -63,6 +64,10 @@ struct BatchResult {
   int backfilled_jobs = 0;               ///< jobs started out of order
   double busy_processor_seconds = 0.0;   ///< for energy accounting
 };
+
+/// BatchResult as the campaign's per-run record: the one conversion the
+/// runner's legacy switch and the batch policies share.
+[[nodiscard]] core::RunResult to_run_result(BatchResult&& result);
 
 /// Simulate the batch execution with per-job release dates (one per pack
 /// task, non-negative; all zero is the paper's static setting). Faults

@@ -7,8 +7,8 @@
 #include <limits>
 #include <numeric>
 #include <optional>
-#include <queue>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/expected_time.hpp"
@@ -59,36 +59,6 @@ std::vector<double> load_trace(const std::string& path, int n) {
   times.resize(static_cast<std::size_t>(n));
   return times;
 }
-
-/// Max-heap entry ordered like optimal_schedule's: longest expected
-/// completion first, deterministic index ties. Entries are pairwise
-/// distinct (one per live job), so pops follow a strict total order and
-/// any max-heap (std::priority_queue or the replace-top scratch vector of
-/// the incremental path, built on the shared util/heap_ops.hpp
-/// primitives) yields the identical grant sequence.
-struct HeapEntry {
-  double expected_time;
-  int job;
-  bool operator<(const HeapEntry& other) const {
-    if (expected_time != other.expected_time)
-      return expected_time < other.expected_time;
-    return job < other.job;
-  }
-};
-using util::heap_replace_top;
-using util::stays_top;
-
-/// Runtime state of one online job.
-struct Job {
-  bool admitted = false;
-  bool done = false;
-  double alpha = 1.0;     ///< remaining work fraction, committed at baseline
-  int sigma = 0;          ///< current (even) allocation; 0 before admission
-  double baseline = 0.0;  ///< start of the current checkpoint pattern;
-                          ///< also the end of any blackout window
-  double proj_end = 0.0;  ///< fault-free projected completion
-  double busy_mark = 0.0; ///< last allocation change (busy accounting)
-};
 
 }  // namespace
 
@@ -162,230 +132,215 @@ std::vector<double> make_release_times(const ArrivalSpec& spec,
   return releases;
 }
 
-OnlineResult run_online(const core::Pack& pack,
-                        const checkpoint::Model& resilience, int processors,
-                        const std::vector<double>& release_times,
-                        fault::Generator& faults,
-                        const OnlineOptions& options) {
-  const core::ExpectedTimeModel model(pack, resilience);
-  core::TrEvaluator evaluator(model, processors - processors % 2);
-  return run_online(pack, resilience, processors, release_times, faults,
-                    model, evaluator, options);
+core::RunResult to_run_result(OnlineResult&& result) {
+  core::RunResult out;
+  out.makespan = result.makespan;
+  out.faults_effective = result.faults_effective;
+  out.redistributions = result.redistributions;
+  out.redistribution_cost = result.redistribution_cost;
+  out.completion_times = std::move(result.completion_times);
+  out.final_allocation = std::move(result.final_allocation);
+  return out;
 }
 
-OnlineResult run_online(const core::Pack& pack,
-                        const checkpoint::Model& resilience, int processors,
-                        const std::vector<double>& release_times,
-                        fault::Generator& faults,
-                        const core::ExpectedTimeModel& model,
-                        core::TrEvaluator& evaluator,
-                        const OnlineOptions& options) {
+void regrow(core::TrEvaluator& evaluator, const std::vector<int>& live,
+            const std::vector<double>& alpha, int available,
+            const std::vector<int>& caps, std::vector<int>& target,
+            std::vector<std::pair<double, int>>& heap) {
+  const std::size_t count = live.size();
+  COREDIS_EXPECTS(alpha.size() == count && caps.size() == count);
+  COREDIS_EXPECTS(available >= 0);
+  target.assign(count, 2);
+  heap.clear();
+  for (std::size_t k = 0; k < count; ++k)
+    heap.emplace_back(evaluator(live[k], 2, alpha[k]), static_cast<int>(k));
+  std::make_heap(heap.begin(), heap.end());
+  // Grant in bulk while the head provably keeps the lead: the rescored
+  // entry beats both heap children, so re-pushing and re-popping it
+  // would be a no-op.
+  bool stuck = false;  // the longest job cannot improve: stop granting
+  while (!stuck && available >= 2 && !heap.empty()) {
+    const auto k = static_cast<std::size_t>(heap.front().second);
+    const core::TrEvaluator::Column tr = evaluator.column(live[k], alpha[k]);
+    bool granted = false;
+    while (available >= 2) {
+      const int current = target[k];
+      if (current + 2 > caps[k]) {
+        // Capped out: the next-longest job gets its turn.
+        std::pop_heap(heap.begin(), heap.end());
+        heap.pop_back();
+        break;
+      }
+      const int pmax =
+          std::min(current + available - available % 2, caps[k]);
+      if (!tr.improvable(current, pmax)) {
+        stuck = !granted;
+        break;
+      }
+      target[k] = current + 2;
+      available -= 2;
+      granted = true;
+      const std::pair<double, int> rescored{tr(current + 2),
+                                            static_cast<int>(k)};
+      if (util::stays_top(heap, rescored)) {
+        heap.front() = rescored;  // keeps the lead: grant again
+      } else {
+        util::heap_replace_top(heap, rescored);
+        break;  // another job took the lead; re-peek
+      }
+    }
+  }
+}
+
+OnlineSim::OnlineSim(const core::ExpectedTimeModel& model,
+                     core::TrEvaluator& evaluator, int processors,
+                     const std::vector<double>& release_times)
+    : model_(model),
+      evaluator_(evaluator),
+      p_(processors - processors % 2),
+      n_(model.pack().size()),
+      release_times_(release_times),
+      jobs_(static_cast<std::size_t>(n_)) {
   COREDIS_EXPECTS(processors >= 2);
-  COREDIS_EXPECTS(&model.pack() == &pack);
-  const int n = pack.size();
-  COREDIS_EXPECTS(static_cast<int>(release_times.size()) == n);
-  const int p = processors - processors % 2;
+  COREDIS_EXPECTS(static_cast<int>(release_times.size()) == n_);
+  result_.start_times.assign(static_cast<std::size_t>(n_), 0.0);
+  result_.completion_times.assign(static_cast<std::size_t>(n_), 0.0);
+  result_.final_allocation.assign(static_cast<std::size_t>(n_), 0);
+}
+
+double OnlineSim::tentative_alpha(int i, double t) const {
+  const Job& job = jobs_[static_cast<std::size_t>(i)];
+  if (job.sigma == 0 || t <= job.baseline) return job.alpha;
+  const double tau = model_.period(i, job.sigma);
+  const double cost = model_.checkpoint_cost(i, job.sigma);
+  const double elapsed = t - job.baseline;
+  const double completed =
+      std::isfinite(tau) ? std::floor(elapsed / tau) : 0.0;
+  const double done_fraction =
+      (elapsed - completed * cost) / model_.fault_free_time(i, job.sigma);
+  return std::clamp(job.alpha - done_fraction, 0.0, 1.0);
+}
+
+double OnlineSim::work_done(double t) const {
+  double done = 0.0;
+  for (int i = 0; i < n_; ++i) {
+    const Job& job = jobs_[static_cast<std::size_t>(i)];
+    if (job.done)
+      done += 1.0;
+    else if (job.admitted)
+      done += 1.0 - tentative_alpha(i, t);
+  }
+  return done;
+}
+
+int OnlineSim::admit_next(double t) {
+  const int i = waiting_[waiting_head_++];
+  Job& job = jobs_[static_cast<std::size_t>(i)];
+  job.admitted = true;
+  job.alpha = 1.0;
+  job.sigma = 0;     // assigned by place_fresh
+  job.baseline = t;  // keeps tentative_alpha at 1.0 until placement
+  job.busy_mark = t;
+  result_.start_times[static_cast<std::size_t>(i)] = t;
+  return i;
+}
+
+void OnlineSim::place_fresh(int i, int target, double t) {
+  Job& job = jobs_[static_cast<std::size_t>(i)];
+  job.sigma = target;
+  job.baseline = t;
+  job.busy_mark = t;
+  job.proj_end = t + model_.simulated_duration(i, target, 1.0);
+}
+
+void OnlineSim::commit_resize(int i, int target, double alpha_now,
+                              double t) {
+  Job& job = jobs_[static_cast<std::size_t>(i)];
+  const double rc = redistrib::cost(job.sigma, target,
+                                    model_.pack().task(i).data_size);
+  result_.busy_processor_seconds +=
+      static_cast<double>(job.sigma) * (t - job.busy_mark);
+  job.busy_mark = t;
+  job.alpha = alpha_now;
+  job.sigma = target;
+  job.baseline = t + rc + model_.checkpoint_cost(i, target);
+  job.proj_end =
+      job.baseline + model_.simulated_duration(i, target, job.alpha);
+  ++result_.redistributions;
+  result_.redistribution_cost += rc;
+}
+
+void OnlineSim::repack(double t) {
+  live_.clear();
+  int reserved = 0;
+  for (int i = 0; i < n_; ++i) {
+    const Job& job = jobs_[static_cast<std::size_t>(i)];
+    if (!job.admitted || job.done) continue;
+    // Jobs inside a blackout window (mid-redistribution or recovering)
+    // keep their allocation; everyone else is malleable.
+    if (t >= job.baseline)
+      live_.push_back(i);
+    else
+      reserved += job.sigma;
+  }
+  while (!waiting_empty() &&
+         2 * (static_cast<int>(live_.size()) + 1) <= p_ - reserved)
+    live_.push_back(admit_next(t));
+  if (live_.empty()) return;
+  std::sort(live_.begin(), live_.end());
+
+  const std::size_t count = live_.size();
+  alpha_now_.resize(count);
+  caps_.resize(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    const int i = live_[k];
+    alpha_now_[k] = tentative_alpha(i, t);
+    caps_[k] = cap(i, alpha_now_[k], t);
+    // The regrow re-derives almost every allocation unchanged: prefill
+    // the fresh-alpha column to the current depth in one probe_many
+    // batch — the exact Eq. 4 values the grant scans will read.
+    (void)evaluator_.column(i, alpha_now_[k])(
+        std::max(jobs_[static_cast<std::size_t>(i)].sigma, 2));
+  }
+  const int available = p_ - reserved - 2 * static_cast<int>(count);
+  COREDIS_ASSERT(available >= 0);
+  regrow(evaluator_, live_, alpha_now_, available, caps_, target_, heap_);
+
+  for (std::size_t k = 0; k < count; ++k) {
+    const int i = live_[k];
+    const int old_sigma = jobs_[static_cast<std::size_t>(i)].sigma;
+    if (target_[k] == old_sigma) continue;  // targets are >= 2: never fresh
+    if (old_sigma == 0)
+      place_fresh(i, target_[k], t);
+    else
+      commit_resize(i, target_[k], alpha_now_[k], t);
+    committed(i, old_sigma, alpha_now_[k], t);
+  }
+}
+
+OnlineResult OnlineSim::run(fault::Generator& faults) {
   const double infinity = std::numeric_limits<double>::infinity();
-
-  std::vector<Job> jobs(static_cast<std::size_t>(n));
-
   // Arrival order: release date, ties by job index.
-  std::vector<int> arrivals(static_cast<std::size_t>(n));
+  std::vector<int> arrivals(static_cast<std::size_t>(n_));
   std::iota(arrivals.begin(), arrivals.end(), 0);
   std::stable_sort(arrivals.begin(), arrivals.end(), [&](int a, int b) {
-    return release_times[static_cast<std::size_t>(a)] <
-           release_times[static_cast<std::size_t>(b)];
+    return release_times_[static_cast<std::size_t>(a)] <
+           release_times_[static_cast<std::size_t>(b)];
   });
   std::size_t next_arrival = 0;
-  // Released, not yet admitted, in arrival order: a consumed-prefix cursor
-  // instead of front-erasure (the erase was quadratic in queue depth).
-  std::vector<int> waiting;
-  std::size_t waiting_head = 0;
-  const auto waiting_empty = [&] { return waiting_head >= waiting.size(); };
-
-  OnlineResult result;
-  result.start_times.assign(static_cast<std::size_t>(n), 0.0);
-  result.completion_times.assign(static_cast<std::size_t>(n), 0.0);
-  result.final_allocation.assign(static_cast<std::size_t>(n), 0);
-
-  /// Remaining work fraction of job i at time t, the engine's
-  /// alpha_tentative arithmetic: elapsed time minus completed checkpoints
-  /// counts as work (a redistribution starts with a checkpoint that
-  /// preserves the running period).
-  const auto tentative_alpha = [&](int i, double t) {
-    const Job& job = jobs[static_cast<std::size_t>(i)];
-    if (t <= job.baseline) return job.alpha;
-    const double tau = model.period(i, job.sigma);
-    const double cost = model.checkpoint_cost(i, job.sigma);
-    const double elapsed = t - job.baseline;
-    const double completed = std::isfinite(tau) ? std::floor(elapsed / tau)
-                                                : 0.0;
-    const double done_fraction =
-        (elapsed - completed * cost) / model.fault_free_time(i, job.sigma);
-    return std::clamp(job.alpha - done_fraction, 0.0, 1.0);
-  };
-
-  // Re-run the pack machinery over the admissible jobs at time t: admit
-  // newly released jobs while one pair per live job still fits, then
-  // rebuild the allocation with the Algorithm 1 greedy over remaining
-  // work, committing only actual changes (each pays RC + an initial
-  // checkpoint and opens a blackout window).
-  std::vector<int> live;      // reused across events
-  std::vector<double> alpha_now;
-  std::vector<int> target;
-  std::vector<HeapEntry> heap;  // incremental path's scratch (reused)
-  const bool eager_replan = options.eager_replan;
-  const auto reschedule = [&](double t) {
-    live.clear();
-    int reserved = 0;
-    for (int i = 0; i < n; ++i) {
-      const Job& job = jobs[static_cast<std::size_t>(i)];
-      if (!job.admitted || job.done) continue;
-      // Jobs inside a blackout window (mid-redistribution or recovering)
-      // keep their allocation; everyone else is malleable.
-      if (t >= job.baseline) {
-        live.push_back(i);
-      } else {
-        reserved += job.sigma;
-      }
-    }
-    // Admission in release order, while one pair per live job still fits.
-    while (!waiting_empty() &&
-           2 * (static_cast<int>(live.size()) + 1) <= p - reserved) {
-      const int i = waiting[waiting_head];
-      ++waiting_head;
-      Job& job = jobs[static_cast<std::size_t>(i)];
-      job.admitted = true;
-      job.alpha = 1.0;
-      job.sigma = 0;     // assigned below
-      job.baseline = t;  // keeps tentative_alpha at 1.0 until the commit
-      job.busy_mark = t;
-      result.start_times[static_cast<std::size_t>(i)] = t;
-      live.push_back(i);
-    }
-    if (live.empty()) return;
-    std::sort(live.begin(), live.end());
-
-    const auto count = live.size();
-    alpha_now.assign(count, 1.0);
-    target.assign(count, 2);
-    for (std::size_t k = 0; k < count; ++k)
-      alpha_now[k] = tentative_alpha(live[k], t);
-
-    // Algorithm 1 over the live set: start at one pair each, grant a pair
-    // to the longest job while its expected time can still decrease; the
-    // line 9 lookahead stops as soon as the longest job cannot improve
-    // even with the whole remaining pool.
-    int available = p - reserved - 2 * static_cast<int>(count);
-    COREDIS_ASSERT(available >= 0);
-    if (!eager_replan) {
-      // Incremental repair (DESIGN.md section 8.2): the regrow re-derives
-      // almost every job's allocation unchanged, so prefill each
-      // admissible job's fresh-alpha column to its current allocation
-      // depth in one probe_many batch — the exact Eq. 4 values the grant
-      // scans will read, streamed back to back — then regrow with a
-      // replace-top scratch heap, granting in bulk while a job provably
-      // keeps the lead (the rescored entry beats both heap children, so
-      // re-pushing and re-popping it would be a no-op). The probes and
-      // their order are identical to the from-scratch rebuild kept below.
-      heap.clear();
-      for (std::size_t k = 0; k < count; ++k) {
-        const core::TrEvaluator::Column col =
-            evaluator.column(live[k], alpha_now[k]);
-        (void)col(std::max(jobs[static_cast<std::size_t>(live[k])].sigma, 2));
-        heap.emplace_back(col(2), static_cast<int>(k));
-      }
-      std::make_heap(heap.begin(), heap.end());
-      bool stuck = false;  // the longest job cannot improve: stop granting
-      while (!stuck && available >= 2 && !heap.empty()) {
-        const auto k = static_cast<std::size_t>(heap.front().job);
-        const core::TrEvaluator::Column tr =
-            evaluator.column(live[k], alpha_now[k]);
-        bool granted = false;
-        while (available >= 2) {
-          const int current = target[k];
-          const int pmax = current + available - available % 2;
-          if (!tr.improvable(current, pmax)) {
-            stuck = !granted;
-            break;
-          }
-          target[k] = current + 2;
-          available -= 2;
-          granted = true;
-          const HeapEntry rescored{tr(current + 2),
-                                   static_cast<int>(k)};
-          if (stays_top(heap, rescored)) {
-            heap.front() = rescored;  // keeps the lead: grant again
-          } else {
-            heap_replace_top(heap, rescored);
-            break;  // another job took the lead; re-peek
-          }
-        }
-      }
-    } else {
-      std::priority_queue<HeapEntry> queue;
-      for (std::size_t k = 0; k < count; ++k)
-        queue.push({evaluator(live[k], 2, alpha_now[k]), static_cast<int>(k)});
-      while (available >= 2) {
-        const HeapEntry head = queue.top();
-        queue.pop();
-        const auto k = static_cast<std::size_t>(head.job);
-        const int current = target[k];
-        const int pmax = current + available - available % 2;
-        const core::TrEvaluator::Column tr =
-            evaluator.column(live[k], alpha_now[k]);
-        if (tr.improvable(current, pmax)) {
-          target[k] = current + 2;
-          queue.push({tr(current + 2), head.job});
-          available -= 2;
-        } else {
-          break;
-        }
-      }
-    }
-
-    // Commit the changes.
-    for (std::size_t k = 0; k < count; ++k) {
-      const int i = live[k];
-      Job& job = jobs[static_cast<std::size_t>(i)];
-      if (job.sigma == 0) {
-        // Fresh admission: no data to move, the pattern starts here.
-        job.sigma = target[k];
-        job.baseline = t;
-        job.busy_mark = t;
-        job.proj_end = t + model.simulated_duration(i, job.sigma, 1.0);
-      } else if (target[k] != job.sigma) {
-        // Malleable resize: commit the work done so far, pay the Eq. 9
-        // redistribution plus an initial checkpoint on the new
-        // allocation, and black out until both complete.
-        const double rc =
-            redistrib::cost(job.sigma, target[k], pack.task(i).data_size);
-        result.busy_processor_seconds +=
-            static_cast<double>(job.sigma) * (t - job.busy_mark);
-        job.busy_mark = t;
-        job.alpha = alpha_now[k];
-        job.sigma = target[k];
-        job.baseline = t + rc + model.checkpoint_cost(i, job.sigma);
-        job.proj_end =
-            job.baseline + model.simulated_duration(i, job.sigma, job.alpha);
-        ++result.redistributions;
-        result.redistribution_cost += rc;
-      }
-    }
-  };
 
   std::optional<fault::Fault> next_fault = faults.next();
-  int remaining = n;
+  int remaining = n_;
   double now = 0.0;
   while (remaining > 0) {
     const double t_release =
-        next_arrival < static_cast<std::size_t>(n)
-            ? release_times[static_cast<std::size_t>(arrivals[next_arrival])]
+        next_arrival < arrivals.size()
+            ? release_times_[static_cast<std::size_t>(arrivals[next_arrival])]
             : infinity;
     double end_time = infinity;
     int ending = -1;
-    for (int i = 0; i < n; ++i) {
-      const Job& job = jobs[static_cast<std::size_t>(i)];
+    for (int i = 0; i < n_; ++i) {
+      const Job& job = jobs_[static_cast<std::size_t>(i)];
       if (job.admitted && !job.done && job.proj_end < end_time) {
         end_time = job.proj_end;
         ending = i;
@@ -396,8 +351,7 @@ OnlineResult run_online(const core::Pack& pack,
     // and the next completion can be arbitrarily far away.
     double t_unblock = infinity;
     if (!waiting_empty()) {
-      for (int i = 0; i < n; ++i) {
-        const Job& job = jobs[static_cast<std::size_t>(i)];
+      for (const Job& job : jobs_) {
         if (job.admitted && !job.done && job.baseline > now)
           t_unblock = std::min(t_unblock, job.baseline);
       }
@@ -416,8 +370,8 @@ OnlineResult run_online(const core::Pack& pack,
       // draws processors uniformly, so slot identity is equivalent).
       int cursor = 0;
       int owner = -1;
-      for (int i = 0; i < n; ++i) {
-        const Job& job = jobs[static_cast<std::size_t>(i)];
+      for (int i = 0; i < n_; ++i) {
+        const Job& job = jobs_[static_cast<std::size_t>(i)];
         if (!job.admitted || job.done) continue;
         if (fault.processor < cursor + job.sigma) {
           owner = i;
@@ -426,24 +380,24 @@ OnlineResult run_online(const core::Pack& pack,
         cursor += job.sigma;
       }
       if (owner < 0) continue;  // idle slot
-      Job& job = jobs[static_cast<std::size_t>(owner)];
+      Job& job = jobs_[static_cast<std::size_t>(owner)];
       if (fault.time <= job.baseline) continue;  // blackout window
-      ++result.faults_effective;
+      ++result_.faults_effective;
       // Rollback to the last checkpoint (the engine's arithmetic).
-      const double tau = model.period(owner, job.sigma);
-      const double cost = model.checkpoint_cost(owner, job.sigma);
+      const double tau = model_.period(owner, job.sigma);
+      const double cost = model_.checkpoint_cost(owner, job.sigma);
       const double periods =
-          std::isfinite(tau)
-              ? std::floor((fault.time - job.baseline) / tau)
-              : 0.0;
+          std::isfinite(tau) ? std::floor((fault.time - job.baseline) / tau)
+                             : 0.0;
       job.alpha = std::clamp(
           job.alpha - periods * (tau - cost) /
-                          model.fault_free_time(owner, job.sigma),
+                          model_.fault_free_time(owner, job.sigma),
           0.0, 1.0);
-      job.baseline = fault.time + resilience.downtime() +
-                     model.recovery_time(owner, job.sigma);
-      job.proj_end =
-          job.baseline + model.simulated_duration(owner, job.sigma, job.alpha);
+      job.baseline = fault.time + model_.resilience().downtime() +
+                     model_.recovery_time(owner, job.sigma);
+      job.proj_end = job.baseline +
+                     model_.simulated_duration(owner, job.sigma, job.alpha);
+      on_fault(owner);
       continue;
     }
 
@@ -453,10 +407,10 @@ OnlineResult run_online(const core::Pack& pack,
     // a completion defers to it — the completion reschedules anyway.
     if (t_wake < end_time || t_release <= end_time) {
       now = t_wake;
-      while (next_arrival < static_cast<std::size_t>(n) &&
-             release_times[static_cast<std::size_t>(arrivals[next_arrival])] <=
-                 t_wake) {
-        waiting.push_back(arrivals[next_arrival]);
+      while (next_arrival < arrivals.size() &&
+             release_times_[static_cast<std::size_t>(
+                 arrivals[next_arrival])] <= t_wake) {
+        waiting_.push_back(arrivals[next_arrival]);
         ++next_arrival;
       }
       reschedule(t_wake);
@@ -465,23 +419,44 @@ OnlineResult run_online(const core::Pack& pack,
 
     // ---- Completion event ----------------------------------------------
     now = end_time;
-    Job& job = jobs[static_cast<std::size_t>(ending)];
+    Job& job = jobs_[static_cast<std::size_t>(ending)];
     job.done = true;
-    result.completion_times[static_cast<std::size_t>(ending)] = end_time;
-    result.final_allocation[static_cast<std::size_t>(ending)] = job.sigma;
-    result.busy_processor_seconds +=
+    result_.completion_times[static_cast<std::size_t>(ending)] = end_time;
+    result_.final_allocation[static_cast<std::size_t>(ending)] = job.sigma;
+    result_.busy_processor_seconds +=
         static_cast<double>(job.sigma) * (end_time - job.busy_mark);
-    result.makespan = std::max(result.makespan, end_time);
+    result_.makespan = std::max(result_.makespan, end_time);
     --remaining;
     if (remaining > 0) reschedule(end_time);
   }
 
   double wait = 0.0;
-  for (int i = 0; i < n; ++i)
-    wait += result.start_times[static_cast<std::size_t>(i)] -
-            release_times[static_cast<std::size_t>(i)];
-  result.mean_queue_wait = n > 0 ? wait / static_cast<double>(n) : 0.0;
-  return result;
+  for (int i = 0; i < n_; ++i)
+    wait += result_.start_times[static_cast<std::size_t>(i)] -
+            release_times_[static_cast<std::size_t>(i)];
+  result_.mean_queue_wait = n_ > 0 ? wait / static_cast<double>(n_) : 0.0;
+  return std::move(result_);
+}
+
+OnlineResult run_online(const core::Pack& pack,
+                        const checkpoint::Model& resilience, int processors,
+                        const std::vector<double>& release_times,
+                        fault::Generator& faults) {
+  const core::ExpectedTimeModel model(pack, resilience);
+  core::TrEvaluator evaluator(model, processors - processors % 2);
+  return run_online(pack, resilience, processors, release_times, faults,
+                    model, evaluator);
+}
+
+OnlineResult run_online(const core::Pack& pack,
+                        const checkpoint::Model& resilience, int processors,
+                        const std::vector<double>& release_times,
+                        fault::Generator& faults,
+                        const core::ExpectedTimeModel& model,
+                        core::TrEvaluator& evaluator) {
+  COREDIS_EXPECTS(&model.pack() == &pack);
+  COREDIS_EXPECTS(&model.resilience() == &resilience);
+  return OnlineSim(model, evaluator, processors, release_times).run(faults);
 }
 
 }  // namespace coredis::extensions

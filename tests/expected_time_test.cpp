@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <gtest/gtest.h>
 #include <limits>
 #include <memory>
@@ -286,6 +287,62 @@ TEST(ExpectedTime, CachedKernelMatchesReferenceFaultFree) {
     EXPECT_EQ(model.simulated_duration(task, j, alpha),
               model.simulated_duration_reference(task, j, alpha));
   }
+}
+
+// --- Cache growth: single-step deepening stays amortized O(1) ------------
+//
+// Columns and coefficient rows deepen one probe at a time during a run.
+// A row that reallocates on every step copies itself each time —
+// quadratic in the depth — so the guard counts address changes of the
+// underlying storage while three rows grow to p = 20000 and asserts a
+// logarithmic number of reallocations.
+
+TEST(ExpectedTime, SingleStepGrowthReallocatesLogarithmically) {
+  constexpr int kProcessors = 20000;
+  const Pack pack = make_pack({2.0e6, 1.5e6, 2.5e6});
+  const checkpoint::Model resilience = faulty_model(5.0);
+  const ExpectedTimeModel model(pack, resilience);
+  TrEvaluator evaluator(model, kProcessors);
+  const int bound = static_cast<int>(2.0 * std::log2(kProcessors));
+
+  const auto count_moves = [](auto&& step, auto&& address, int last) {
+    int moves = 0;
+    const void* seen = nullptr;
+    for (int j = 2; j <= last; j += 2) {
+      if (!step(j)) continue;
+      const void* now = address();
+      if (now != seen) ++moves;
+      seen = now;
+    }
+    return moves;
+  };
+
+  // Coefficient row (the scalar accessors' lazy fill), one slot per step.
+  const int record_moves = count_moves(
+      [&](int j) { return model.record(0, j).t_ij > 0.0; },
+      [&] { return static_cast<const void*>(&model.record(0, 2)); },
+      kProcessors);
+  EXPECT_LE(record_moves, bound);
+
+  // Dense record row (the batched probes' densification), one entry per
+  // step.
+  const int dense_moves = count_moves(
+      [&](int j) {
+        return model.row_records(1, static_cast<std::size_t>(j / 2)) !=
+               nullptr;
+      },
+      [&] { return static_cast<const void*>(model.row_records(1, 1)); },
+      kProcessors);
+  EXPECT_LE(dense_moves, bound);
+
+  // Prefix-min column deepened three entries per probe: gaps wider than
+  // two go through the batched extend path.
+  const TrEvaluator::Column column = evaluator.column(2, 1.0);
+  const int column_moves = count_moves(
+      [&](int j) { return j % 6 == 0 && column(j) > 0.0; },
+      [&] { return static_cast<const void*>(column.prefix().data()); },
+      kProcessors);
+  EXPECT_LE(column_moves, bound);
 }
 
 }  // namespace

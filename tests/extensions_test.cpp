@@ -20,6 +20,7 @@
 #include "extensions/silent_sim.hpp"
 #include "fault/exponential.hpp"
 #include "full_lookahead.hpp"
+#include "literal_regrow.hpp"
 #include "speedup/synthetic.hpp"
 #include "speedup/table_profile.hpp"
 #include "util/units.hpp"
@@ -474,20 +475,18 @@ TEST(OnlineArrivals, BatchBackfillsAReleaseDatedCandidate) {
   EXPECT_GE(fcfs.start_times[2], fcfs.start_times[1]);
 }
 
-/// Both online replans — the incremental repair and the eager rebuild —
-/// against the full-lookahead oracle (full_lookahead.hpp) on a large
+/// The online replan against the full-lookahead oracle (full_lookahead.hpp) on a large
 /// pool: n = 50, p = 4000, a fault-aware model and an empty fault
 /// stream, so every replan is a pure function of the greedy.
 ///
 ///  * Simultaneous release: the t = 0 replan sizes all 50 jobs at
 ///    alpha = 1, so the first job to finish ran on its oracle target for
-///    exactly simulated_duration(i, target, 1) — and the two replan
-///    paths must agree on the whole run.
+///    exactly simulated_duration(i, target, 1).
 ///  * Solo releases: each job arrives after the previous one finished and
 ///    replans alone over the whole pool, where it stops at its Eq. 6
 ///    optimum — the plateau on which only the deep tr(pmax) read decides
 ///    — so every final allocation is an oracle target.
-class OnlineReplanOracle : public ::testing::TestWithParam<bool> {
+class OnlineReplanOracle : public ::testing::Test {
  protected:
   static constexpr int kJobs = 50;
   static constexpr int kProcessors = 4000;
@@ -504,17 +503,14 @@ class OnlineReplanOracle : public ::testing::TestWithParam<bool> {
 
   OnlineResult run(const std::vector<double>& releases) const {
     fault::NullGenerator none(kProcessors);
-    OnlineOptions options;
-    options.eager_replan = GetParam();
-    return run_online(pack_, resilience_, kProcessors, releases, none,
-                      options);
+    return run_online(pack_, resilience_, kProcessors, releases, none);
   }
 
   core::Pack pack_;
   checkpoint::Model resilience_;
 };
 
-TEST_P(OnlineReplanOracle, SimultaneousReplanMatchesOracle) {
+TEST_F(OnlineReplanOracle, SimultaneousReplanMatchesOracle) {
   const OnlineResult result = run(std::vector<double>(kJobs, 0.0));
   const core::ExpectedTimeModel model(pack_, resilience_);
   const oracle::FirstFinish first =
@@ -524,21 +520,9 @@ TEST_P(OnlineReplanOracle, SimultaneousReplanMatchesOracle) {
             first.time);
   EXPECT_EQ(result.completion_times[first.job], first.time);
   EXPECT_EQ(result.final_allocation[first.job], first.target);
-
-  OnlineOptions other;
-  other.eager_replan = !GetParam();
-  fault::NullGenerator none(kProcessors);
-  const OnlineResult twin = run_online(pack_, resilience_, kProcessors,
-                                       std::vector<double>(kJobs, 0.0), none,
-                                       other);
-  EXPECT_EQ(result.completion_times, twin.completion_times);
-  EXPECT_EQ(result.final_allocation, twin.final_allocation);
-  EXPECT_EQ(result.redistributions, twin.redistributions);
-  EXPECT_EQ(result.redistribution_cost, twin.redistribution_cost);
-  EXPECT_EQ(result.busy_processor_seconds, twin.busy_processor_seconds);
 }
 
-TEST_P(OnlineReplanOracle, SoloReplansMatchOracle) {
+TEST_F(OnlineReplanOracle, SoloReplansMatchOracle) {
   std::vector<double> releases(kJobs);
   for (int i = 0; i < kJobs; ++i)
     releases[static_cast<std::size_t>(i)] = 1.0e9 * i;
@@ -551,8 +535,59 @@ TEST_P(OnlineReplanOracle, SoloReplansMatchOracle) {
   EXPECT_GT(solo.plateaus, 0) << "no replan reached the deep-read branch";
 }
 
-INSTANTIATE_TEST_SUITE_P(IncrementalAndEager, OnlineReplanOracle,
-                         ::testing::Bool());
+/// The one production grant loop against the literal one-grant-per-pop
+/// regrow (literal_regrow.hpp) over seeded random inputs: live subsets,
+/// per-job alphas, pool sizes and caps — uncapped, binding, and equal to
+/// the starting pair, so a capped-out head leaves the heap at its first
+/// pop. Scratch vectors are reused across trials, as in the simulator.
+TEST(OnlineRegrow, BulkGrantsMatchLiteralRegrowWithCaps) {
+  constexpr int kJobs = 24;
+  constexpr int kProcessors = 2000;
+  Rng rng(20261019);
+  const core::Pack pack = core::Pack::uniform_random(
+      kJobs, 1.0e5, 2.5e6, std::make_shared<speedup::SyntheticModel>(0.08),
+      rng);
+  const checkpoint::Model resilience = online_resilience(1.0);
+  const core::ExpectedTimeModel model(pack, resilience);
+  core::TrEvaluator evaluator(model, kProcessors);
+
+  std::vector<int> target;
+  std::vector<std::pair<double, int>> heap;
+  int capped_out = 0;  // jobs that ended exactly at a binding cap
+  int multi_grants = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<int> live;
+    std::vector<double> alpha;
+    std::vector<int> caps;
+    for (int i = 0; i < kJobs; ++i) {
+      if (rng.uniform01() < 0.4) continue;
+      live.push_back(i);
+      alpha.push_back(rng.uniform01() < 0.3 ? 1.0
+                                            : rng.uniform(0.05, 1.0));
+      const double draw = rng.uniform01();
+      caps.push_back(draw < 0.5    ? kUncapped
+                     : draw < 0.65 ? 2
+                                   : 2 + 2 * static_cast<int>(
+                                                 rng.uniform(0.0, 40.0)));
+    }
+    const int floor = 2 * static_cast<int>(live.size());
+    if (floor > kProcessors) continue;
+    const int available = static_cast<int>(
+        rng.uniform(0.0, static_cast<double>(kProcessors - floor)));
+    SCOPED_TRACE(::testing::Message() << "trial=" << trial
+                                      << " live=" << live.size()
+                                      << " available=" << available);
+    regrow(evaluator, live, alpha, available, caps, target, heap);
+    EXPECT_EQ(target,
+              oracle::literal_regrow(evaluator, live, alpha, available, caps));
+    for (std::size_t k = 0; k < live.size(); ++k) {
+      if (caps[k] != kUncapped && target[k] == caps[k]) ++capped_out;
+      if (target[k] > 4) ++multi_grants;
+    }
+  }
+  EXPECT_GT(capped_out, 0) << "no cap ever bound";
+  EXPECT_GT(multi_grants, 0) << "no job took more than one grant";
+}
 
 TEST(OnlineArrivals, ZeroReleaseBatchMatchesLegacyOverload) {
   // The static-release overload must reproduce the release-dated path

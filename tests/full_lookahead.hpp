@@ -35,7 +35,7 @@ struct FullLookahead {
 /// Greedy targets over `live` (job ids) at the given per-job alphas,
 /// starting every job at one pair with `available` processors left in
 /// the pool. `caps` (empty: uncapped) bounds each job's allocation the
-/// way policy/adaptive.cpp does: a capped-out job is skipped, and an
+/// way extensions::regrow does: a capped-out job is skipped, and an
 /// unimprovable longest job stops the pass.
 inline FullLookahead full_lookahead_targets(core::TrEvaluator& evaluator,
                                             const std::vector<int>& live,

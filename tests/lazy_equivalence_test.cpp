@@ -1,16 +1,17 @@
 /// \file lazy_equivalence_test.cpp
 /// The incremental-replanning equivalence battery (DESIGN.md sections 6.5
 /// and 8.2): the lazy scan machinery (carried EndLocal verdicts, the
-/// prefilled flat IteratedGreedy regrow, the tournament tree) and the
-/// online scheduler's incremental repair must reproduce the from-scratch
-/// decision sequences byte for byte. Three layers:
+/// prefilled flat IteratedGreedy regrow, the tournament tree) must
+/// reproduce the from-scratch decision sequences byte for byte, and the
+/// online scheduler must not see its shared warm cache. Three layers:
 ///
 ///  * whole-run engine equivalence over randomized grids, both fault
 ///    laws, every policy pair — lazy (default) vs EngineConfig::
 ///    eager_scans in the same test run;
-///  * online delta-replan vs full-replan (OnlineOptions::eager_replan)
-///    over both generated arrival laws, plus the shared-workspace
-///    overload vs the self-contained one;
+///  * the online scheduler over a shared warm workspace vs the
+///    self-contained overload, over both generated arrival laws (the
+///    grant loop itself is locked against the literal one-grant-per-pop
+///    regrow of literal_regrow.hpp by extensions_test);
 ///  * white-box invariants of the carried-verdict cache (the "lazy
 ///    queue"): a failed scan stores a verdict at the scanned pool and
 ///    current version, commits invalidate it, and within its horizon the
@@ -139,7 +140,7 @@ void expect_identical_online(const extensions::OnlineResult& a,
   }
 }
 
-TEST(OnlineDeltaEquivalence, RepairMatchesFullReplanAcrossArrivalLaws) {
+TEST(OnlineDeltaEquivalence, SharedWorkspaceMatchesSelfContained) {
   Rng rng(4242ULL);
   for (int trial = 0; trial < 4; ++trial) {
     const int n = 6 + static_cast<int>(rng.uniform01() * 8);
@@ -164,15 +165,14 @@ TEST(OnlineDeltaEquivalence, RepairMatchesFullReplanAcrossArrivalLaws) {
         const std::vector<double> releases = extensions::make_release_times(
             spec, pack, resilience, p, arrivals);
 
-        extensions::OnlineOptions full;
-        full.eager_replan = true;
         fault::ExponentialGenerator ga(p, 1.0 / units::years(5.0),
                                        Rng(seed ^ 0xFA17ULL));
         const extensions::OnlineResult a =
-            extensions::run_online(pack, resilience, p, releases, ga, full);
+            extensions::run_online(pack, resilience, p, releases, ga);
 
-        // Delta repair, over a shared warm workspace (the campaign
-        // runner's setup): both axes must be invisible in the results.
+        // The same replans over a shared warm workspace (the campaign
+        // runner's setup): the warm cache must be invisible in the
+        // results.
         core::Engine engine(pack, resilience, p, {});
         {
           fault::ExponentialGenerator warm(p, 1.0 / units::years(5.0),

@@ -16,6 +16,7 @@
 ///    the full-lookahead oracle of full_lookahead.hpp on a large pool.
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -31,6 +32,7 @@
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/scenario_file.hpp"
+#include "fault/exponential.hpp"
 #include "fault/generator.hpp"
 #include "full_lookahead.hpp"
 #include "policy/registry.hpp"
@@ -317,8 +319,8 @@ TEST(PolicyAdaptiveDeterminism, OfflineWorkloadsRunToo) {
 
 // ---- adaptive policies: greedy replans vs the full-lookahead oracle ------
 
-/// policy/adaptive.cpp's greedy_targets — the line-9 site every bandit
-/// and reshape replan goes through — against the oracle on a large pool
+/// extensions::regrow — the grant loop every bandit and reshape replan
+/// goes through — against the oracle on a large pool
 /// (n = 50, p = 4000, fault-aware model, empty fault stream), with the
 /// two workloads of extensions_test's OnlineReplanOracle: a simultaneous
 /// release, whose first finisher ran its t = 0 oracle target from the
@@ -385,6 +387,217 @@ TEST_P(AdaptiveReplanOracle, SoloReplansMatchOracle) {
 
 INSTANTIATE_TEST_SUITE_P(BanditAndReshape, AdaptiveReplanOracle,
                          ::testing::Values("bandit", "reshape"));
+
+// ---- adaptive policies: vanishing-load convergence ----------------------
+
+/// DESIGN.md section 10.3's limit: with solo releases (job i at 1e9 * i
+/// seconds, each finishing long before the next arrives) every event
+/// sees one job on the whole platform, so the bandit's two arms coincide
+/// and reshape never resizes — both must return malleable's exact
+/// RunResult, faults included.
+TEST(PolicyAdaptiveConvergence, SoloReleasesReturnMalleablesResult) {
+  constexpr int kJobs = 12;
+  constexpr int kProcessors = 64;
+  Rng rng(1019);
+  const core::Pack pack = core::Pack::uniform_random(
+      kJobs, 1.5e6, 2.5e6, std::make_shared<speedup::SyntheticModel>(0.08),
+      rng);
+  const checkpoint::Model resilience({units::years(1.0), 60.0, 1.0,
+                                      checkpoint::PeriodRule::Young, 0.0});
+  std::vector<double> releases(kJobs);
+  for (int i = 0; i < kJobs; ++i)
+    releases[static_cast<std::size_t>(i)] = 1.0e9 * i;
+  const std::function<const std::vector<double>&()> release_times =
+      [&]() -> const std::vector<double>& { return releases; };
+  const auto run = [&](const char* policy) {
+    core::Engine engine(pack, resilience, kProcessors);
+    fault::ExponentialGenerator faults(kProcessors, 1.0 / units::years(1.0),
+                                       Rng(77));
+    const policy::CellContext ctx{pack,           resilience,
+                                  kProcessors,    faults,
+                                  engine.model(), engine.evaluator(),
+                                  engine,         release_times,
+                                  5};
+    return policy::resolve(policy).make()->run(ctx);
+  };
+  const core::RunResult malleable = run("malleable");
+  EXPECT_GT(malleable.faults_effective, 0);
+  for (const char* policy :
+       {"bandit", "bandit(window=10, explore=0.25)", "reshape",
+        "reshape(gain=1)"}) {
+    SCOPED_TRACE(policy);
+    expect_identical(run(policy), malleable);
+  }
+}
+
+// ---- arrival-driven schedulers: pinned result bytes ----------------------
+
+/// Every %.17g field of one cell result, one line per policy.
+std::string render_result(const std::string& name, const core::RunResult& r) {
+  std::string line = name;
+  char buffer[64];
+  const auto put = [&](const char* format, auto value) {
+    std::snprintf(buffer, sizeof buffer, format, value);
+    line += buffer;
+  };
+  put(" makespan=%.17g", r.makespan);
+  put(" redistributions=%d", r.redistributions);
+  put(" rc=%.17g", r.redistribution_cost);
+  put(" faults=%d", r.faults_effective);
+  line += " completion=";
+  for (double t : r.completion_times) put("%.17g,", t);
+  line += " allocation=";
+  for (int a : r.final_allocation) put("%d,", a);
+  return line + "\n";
+}
+
+/// The five arrival-driven schedulers on a small faulty Poisson cell,
+/// pinned to the values the forked adaptive loop produced before the
+/// adaptive policies moved onto extensions::OnlineSim. At both loads the
+/// bandit (hold arm), reshape (cap path) and both batch baselines end
+/// with makespans different from malleable's, so every branch of the
+/// shared loop shows in the bytes.
+TEST(PolicyBytesLock, ArrivalDrivenSchedulersKeepTheirBytes) {
+  const std::vector<ConfigSpec> configs = parse_config_set(
+      "malleable, bandit(window=10, explore=0.25), reshape(gain=1), easy, "
+      "fcfs");
+  const struct {
+    double load;
+    const char* expected;
+  } cases[] = {
+      {0.5,
+       "Online malleable (RC) makespan=380840050.44904971"
+       " redistributions=31 rc=6282753.8975234693 faults=64"
+       " completion="
+       "12801734.121867821,67030914.825415447,61626473.486023381,"
+       "68300929.304450005,68128315.121973589,145331115.40572029,"
+       "196753763.21555957,198109329.67490083,197346916.58288175,"
+       "277667626.4535985,277811021.13215458,276951897.07787317,"
+       "300856530.11131811,302298113.35986483,301719031.1759125,"
+       "337182190.9884035,358044075.79882598,356216551.14176095,"
+       "355706370.289846,380840050.44904971,"
+       " allocation=80,2,2,80,14,80,22,4,76,64,80,56,14,4,76,80,2,60,48,80,\n"
+       "bandit(window=10, explore=0.25) makespan=380840050.44904971"
+       " redistributions=18 rc=6164543.3150971085 faults=68"
+       " completion="
+       "12801734.121867821,67084517.269658312,69692417.04091391,"
+       "68797110.461868539,71062301.2769835,145331115.40572029,"
+       "196753763.21555957,198109329.67490083,197346916.58288175,"
+       "272814454.61599064,273278565.0890305,283318599.37038487,"
+       "296356079.57964963,306036416.56012201,306616044.58893412,"
+       "337182190.9884035,359827835.45075881,358701000.54149812,"
+       "358504566.30553442,380840050.44904971,"
+       " allocation=80,2,78,12,2,80,22,4,76,46,34,46,80,50,30,80,4,32,44,80,\n"
+       "reshape(gain=1) makespan=380840050.44904971"
+       " redistributions=30 rc=6261191.9868563898 faults=64"
+       " completion="
+       "12801734.121867821,67030914.825415447,61626473.486023381,"
+       "68288928.864679888,68128315.121973589,145331115.40572029,"
+       "196753763.21555957,198109329.67490083,197346916.58288175,"
+       "277667626.4535985,277811021.13215458,276951897.07787317,"
+       "300856530.11131811,302298113.35986483,301719031.1759125,"
+       "337182190.9884035,358044075.79882598,356216551.14176095,"
+       "355706370.289846,380840050.44904971,"
+       " allocation=80,2,2,66,14,80,22,4,76,64,80,56,14,4,76,80,2,60,48,80,\n"
+       "Online EASY backfilling makespan=380840050.44904971"
+       " redistributions=0 rc=0 faults=94"
+       " completion="
+       "12801734.121867821,50901416.802915402,63225619.982843503,"
+       "71659402.014580369,82379881.108910754,145331115.40572029,"
+       "193541041.7269322,205620285.49458835,214247562.55335435,"
+       "271834200.85599363,279639009.25187147,287628769.66858053,"
+       "296356079.57964963,305412773.90361583,313229944.5886482,"
+       "337182190.9884035,350560587.10985363,358897261.21057469,"
+       "368842316.51421374,380840050.44904971,"
+       " allocation=80,80,80,80,80,80,80,80,80,80,"
+       "80,80,80,80,80,80,80,80,80,80,\n"
+       "Online FCFS (rigid) makespan=380840050.44904971"
+       " redistributions=0 rc=0 faults=94"
+       " completion="
+       "12801734.121867821,50901416.802915402,63225619.982843503,"
+       "71659402.014580369,82379881.108910754,145331115.40572029,"
+       "193541041.7269322,205620285.49458835,214247562.55335435,"
+       "271834200.85599363,279639009.25187147,287628769.66858053,"
+       "296356079.57964963,305412773.90361583,313229944.5886482,"
+       "337182190.9884035,350560587.10985363,358897261.21057469,"
+       "368842316.51421374,380840050.44904971,"
+       " allocation=80,80,80,80,80,80,80,80,80,80,"
+       "80,80,80,80,80,80,80,80,80,80,\n"},
+      {4.0,
+       "Online malleable (RC) makespan=69135789.995697081"
+       " redistributions=114 rc=28526260.466825496 faults=38"
+       " completion="
+       "21096306.958495997,33541677.580252185,35100512.313662983,"
+       "29225607.13414596,35045361.571650431,42274637.583467975,"
+       "56861859.592856623,60255137.250177838,56052102.901381195,"
+       "64252480.990470044,64455263.667291902,60171859.947705425,"
+       "67506853.590151519,66818006.28031987,66892437.679626867,"
+       "69135789.995697081,68103988.525598496,69083554.752721041,"
+       "66201640.838194117,69046613.687646002,"
+       " allocation=2,2,2,2,2,2,2,2,2,2,2,2,70,4,2,6,74,36,18,38,\n"
+       "bandit(window=10, explore=0.25) makespan=72826811.872715324"
+       " redistributions=74 rc=18424158.558248956 faults=38"
+       " completion="
+       "26173107.238604579,34992436.749240324,35434801.099780276,"
+       "30091470.488421343,36210548.853302389,43267011.955165759,"
+       "55759199.005050555,58810605.447425842,59417102.365535758,"
+       "62585552.611501753,63260119.64282418,57952113.975123003,"
+       "62261147.372477546,58221562.907473087,72826811.872715324,"
+       "70497207.70693326,67545940.853297919,68062944.066479206,"
+       "66424082.198795199,68495633.632796347,"
+       " allocation=2,2,2,2,2,2,2,2,2,2,2,4,2,10,4,6,14,12,8,26,\n"
+       "reshape(gain=1) makespan=69418568.823559493"
+       " redistributions=97 rc=22288267.587180004 faults=38"
+       " completion="
+       "21096306.958495997,33541677.580252185,35100512.313662983,"
+       "29225607.13414596,35045361.571650431,42274637.583467975,"
+       "56861859.592856623,60255137.250177838,56052102.901381195,"
+       "64252480.990470044,64455263.667291902,60171859.947705425,"
+       "68229870.921020865,65653551.726926178,65665446.051045217,"
+       "66682830.257930249,65330456.805027701,65867901.353780977,"
+       "69418568.823559493,65826859.170820445,"
+       " allocation=2,2,2,2,2,2,2,2,2,2,2,2,12,14,2,10,10,14,14,14,\n"
+       "Online EASY backfilling makespan=191438459.51223728"
+       " redistributions=0 rc=0 faults=95"
+       " completion="
+       "9590156.5148701388,20756353.536411535,31427708.24616725,"
+       "39440346.130774848,50984436.581529438,61178216.274505533,"
+       "73037841.660590753,83750725.328916237,93061022.006699473,"
+       "101668500.29496142,108902010.44678485,117095124.55164087,"
+       "125965020.94834326,135221321.63899776,144002674.86002079,"
+       "153698837.96496385,164605869.96418598,173969790.93067685,"
+       "183175479.11288667,191438459.51223728,"
+       " allocation=80,80,80,80,80,80,80,80,80,80,"
+       "80,80,80,80,80,80,80,80,80,80,\n"
+       "Online FCFS (rigid) makespan=191438459.51223728"
+       " redistributions=0 rc=0 faults=95"
+       " completion="
+       "9590156.5148701388,20756353.536411535,31427708.24616725,"
+       "39440346.130774848,50984436.581529438,61178216.274505533,"
+       "73037841.660590753,83750725.328916237,93061022.006699473,"
+       "101668500.29496142,108902010.44678485,117095124.55164087,"
+       "125965020.94834326,135221321.63899776,144002674.86002079,"
+       "153698837.96496385,164605869.96418598,173969790.93067685,"
+       "183175479.11288667,191438459.51223728,"
+       " allocation=80,80,80,80,80,80,80,80,80,80,"
+       "80,80,80,80,80,80,80,80,80,80,\n"},
+  };
+  for (const auto& c : cases) {
+    Scenario scenario;
+    scenario.n = 20;
+    scenario.p = 80;
+    scenario.mtbf_years = 5.0;
+    scenario.arrival_law = extensions::ArrivalLaw::Poisson;
+    scenario.load_factor = c.load;
+    validate_scenario(scenario);
+    const CellResult cell = run_cell(scenario, configs, 0);
+    ASSERT_EQ(cell.results.size(), configs.size());
+    std::string text;
+    for (std::size_t k = 0; k < configs.size(); ++k)
+      text += render_result(configs[k].name, cell.results[k]);
+    EXPECT_EQ(text, c.expected) << "load=" << c.load;
+  }
+}
 
 }  // namespace
 }  // namespace coredis::exp
