@@ -499,7 +499,7 @@ void execute_span(const std::vector<Scenario>& points,
           const CellRef ref = queue.at(k);
           const auto start = std::chrono::steady_clock::now();
           const CellResult result =
-              run_cell(points[ref.point], configs, ref.rep, options.dispatch);
+              run_cell(points[ref.point], configs, ref.rep);
           model->observe(
               ref.point,
               std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -666,14 +666,13 @@ Campaign load_campaign(const std::string& path, Scenario base) {
 std::vector<PointResult> run_grid(const std::vector<Scenario>& points,
                                   const std::vector<ConfigSpec>& configs,
                                   const GridRunOptions& options) {
-  const std::unique_ptr<CellQueue> queue = make_cell_queue(
-      options.storage, runs_per_point(points), options.storage_dir);
+  const CellQueue queue(runs_per_point(points));
   // Aggregates build incrementally as the committer retires cells in
   // order — the run holds O(points) statistics, never O(cells) results.
   std::vector<PointResult> aggregated = point_frames(points, configs);
   const OrderedCommitter::Fold fold =
       [&aggregated, &queue](std::size_t k, const CellResult& result) {
-        fold_cell(aggregated[queue->at(k).point], result);
+        fold_cell(aggregated[queue.at(k).point], result);
       };
   // With resume, the file's valid prefix is adopted (folded, not
   // recomputed) and only the cells after it run.
@@ -683,14 +682,14 @@ std::vector<PointResult> run_grid(const std::vector<Scenario>& points,
   if (!path.empty()) {
     const std::string header = header_line(points, configs);
     done = open_record_sink(sink, path, header, options.resume, [&] {
-             return scan_jsonl(path, header, *queue, configs, true,
+             return scan_jsonl(path, header, queue, configs, true,
                                [&fold](ParsedCell&& cell, std::uintmax_t,
                                        const std::string&) {
                                  fold(cell.cell, cell.result);
                                });
            }).cells_present;
   }
-  execute_span(points, configs, *queue, done, queue->size() - done,
+  execute_span(points, configs, queue, done, queue.size() - done,
                sink.is_open() ? &sink : nullptr, options, fold);
   if (sink.is_open() && !sink)
     throw std::runtime_error("failed writing " + path);
@@ -806,24 +805,23 @@ DealWorker::DealWorker(std::vector<Scenario> points,
                        std::size_t workers, const GridRunOptions& options)
     : points_(std::move(points)),
       configs_(std::move(configs)),
-      options_(options) {
+      options_(options),
+      queue_(runs_per_point(points_)) {
   COREDIS_EXPECTS(workers > 0 && worker < workers);
   if (options_.jsonl_path.empty())
     throw std::runtime_error(
         "shard workers need a JSONL output path to derive their shard file");
-  queue_ = make_cell_queue(options_.storage, runs_per_point(points_),
-                           options_.storage_dir);
   if (options_.cost_model == nullptr) {
     model_ = std::make_unique<CostModel>(points_, configs_);
     options_.cost_model = model_.get();
   }
-  held_.assign(queue_->size(), false);
+  held_.assign(queue_.size(), false);
   path_ = shard_path(options_.jsonl_path, {worker, workers});
   const std::string header =
       deal_header_line(points_, configs_, worker, workers);
   resumed_records_ =
       open_record_sink(sink_, path_, header, options_.resume, [&] {
-        return scan_jsonl(path_, header, *queue_, configs_, false,
+        return scan_jsonl(path_, header, queue_, configs_, false,
                           [this](ParsedCell&& cell, std::uintmax_t,
                                  const std::string&) {
                             held_[cell.cell] = true;
@@ -838,7 +836,7 @@ std::size_t DealWorker::resumed_records() const noexcept {
 }
 
 void DealWorker::run_block(std::size_t begin, std::size_t end) {
-  COREDIS_EXPECTS(begin <= end && end <= queue_->size());
+  COREDIS_EXPECTS(begin <= end && end <= queue_.size());
   // Only the runs of cells the file does not hold yet execute.
   for (std::size_t k = begin; k < end;) {
     if (held_[k]) {
@@ -847,7 +845,7 @@ void DealWorker::run_block(std::size_t begin, std::size_t end) {
     }
     const std::size_t first = k;
     while (k < end && !held_[k]) held_[k++] = true;
-    execute_span(points_, configs_, *queue_, first, k - first, &sink_,
+    execute_span(points_, configs_, queue_, first, k - first, &sink_,
                  options_, {});
   }
   if (!sink_) throw std::runtime_error("failed writing " + path_);
@@ -915,10 +913,9 @@ std::vector<bool> shard_coverage(const std::vector<Scenario>& points,
                                  const std::vector<ConfigSpec>& configs,
                                  std::size_t workers,
                                  const std::string& jsonl_path) {
-  const std::unique_ptr<CellQueue> queue =
-      make_cell_queue(StorageKind::Ram, runs_per_point(points));
+  const CellQueue queue(runs_per_point(points));
   const ShardIndex index =
-      index_shards(points, configs, *queue, workers, jsonl_path, false);
+      index_shards(points, configs, queue, workers, jsonl_path, false);
   std::vector<bool> held(index.cells.size());
   for (std::size_t k = 0; k < held.size(); ++k)
     held[k] = index.cells[k].present;
@@ -929,10 +926,9 @@ void merge_deal_shards(const std::vector<Scenario>& points,
                        const std::vector<ConfigSpec>& configs,
                        std::size_t workers, const std::string& jsonl_path) {
   namespace fs = std::filesystem;
-  const std::unique_ptr<CellQueue> queue =
-      make_cell_queue(StorageKind::Ram, runs_per_point(points));
+  const CellQueue queue(runs_per_point(points));
   const ShardIndex index =
-      index_shards(points, configs, *queue, workers, jsonl_path, true);
+      index_shards(points, configs, queue, workers, jsonl_path, true);
   if (index.missing != 0) {
     std::size_t first_missing = 0;
     while (index.cells[first_missing].present) ++first_missing;
@@ -941,7 +937,7 @@ void merge_deal_shards(const std::vector<Scenario>& points,
       torn += (torn.empty() ? "; torn tail dropped in " : ", ") + path;
     throw std::runtime_error(
         "campaign shards are incomplete: " + std::to_string(index.missing) +
-        " of " + std::to_string(queue->size()) +
+        " of " + std::to_string(queue.size()) +
         " cells missing (first: cell " + std::to_string(first_missing) +
         torn +
         "); rerun the workers with --resume to compute the missing cells");
@@ -995,18 +991,17 @@ std::vector<PointResult> summarize_jsonl(const Campaign& campaign,
                                          const std::string& path,
                                          JsonlCoverage* coverage) {
   const std::vector<Scenario> points = campaign_points(campaign);
-  const std::unique_ptr<CellQueue> queue =
-      make_cell_queue(StorageKind::Ram, runs_per_point(points));
+  const CellQueue queue(runs_per_point(points));
   std::vector<PointResult> aggregated = point_frames(points, campaign.configs);
   const JsonlScan scan = scan_jsonl(
-      path, header_line(points, campaign.configs), *queue, campaign.configs,
+      path, header_line(points, campaign.configs), queue, campaign.configs,
       true,
       [&aggregated](ParsedCell&& cell, std::uintmax_t, const std::string&) {
         fold_cell(aggregated[cell.point], cell.result);
       });
   if (coverage != nullptr) {
     coverage->cells_present = scan.cells_present;
-    coverage->cells_total = queue->size();
+    coverage->cells_total = queue.size();
     coverage->dropped_corrupt_tail = scan.dropped_tail;
   }
   return aggregated;

@@ -120,19 +120,17 @@ struct GridRunOptions {
   bool resume = false;
   /// Worker override for the global queue (0 = default_thread_count()).
   std::size_t threads = 0;
-  /// Storage backend for the cell queue and the out-of-order result spill
-  /// (DESIGN.md section 7.5). `ram` is the historical behavior; `file`
-  /// bounds RAM at O(points) + spill_ram_budget_bytes however large the
-  /// grid is. The choice cannot reach the output bytes or aggregates.
+  /// Backend of the out-of-order result spill (DESIGN.md section 7.5).
+  /// `ram` is the default; `file` bounds the spill's RAM at
+  /// spill_ram_budget_bytes however large the backlog grows. The cell
+  /// layout is arithmetic in every case (O(points)). The choice cannot
+  /// reach the output bytes or aggregates.
   StorageKind storage = StorageKind::Ram;
-  /// Scratch directory for the file backend (empty: system temp dir).
+  /// Scratch directory for the file and mmap spills (empty: system temp
+  /// dir).
   std::string storage_dir;
   /// Result payload the file-backed spill keeps resident in RAM.
   std::size_t spill_ram_budget_bytes = std::size_t{16} << 20;
-  /// Which dispatch executes each configuration (exp/runner.hpp): the
-  /// policy registry (production) or the frozen pre-registry switch.
-  /// The differential battery cmp-locks the two paths' artifacts.
-  DispatchPath dispatch = DispatchPath::Registry;
   /// Cost model to steer the longest-first cell feed and refine from
   /// completed-cell timings. Null builds a fresh per-run model; a
   /// caller-owned model (must outlive the run and cover the same grid
@@ -236,7 +234,7 @@ class DealWorker {
   std::vector<Scenario> points_;
   std::vector<ConfigSpec> configs_;
   GridRunOptions options_;
-  std::unique_ptr<CellQueue> queue_;
+  CellQueue queue_;
   std::unique_ptr<CostModel> model_;
   std::vector<bool> held_;  ///< cells already in the shard file
   std::ofstream sink_;

@@ -91,7 +91,7 @@ void close_fd(int& fd) {
 }
 
 /// Remove a dead worker's scratch files. Workers leave via _Exit (and
-/// signaled ones never unwind at all), so the self-deleting ScratchFile
+/// signaled ones never unwind at all), so the self-deleting spill scratch
 /// destructors (exp/storage.cpp) do not run — the coordinator sweeps the
 /// pid-tagged names (`coredis_<tag>_<pid>_<seq>.bin`) from the spill
 /// directory instead. Best-effort: a failed removal must not mask the
@@ -316,14 +316,13 @@ FabricReport run_fabric(const Campaign& campaign, const GridRunOptions& base,
   std::vector<std::size_t> runs;
   for (const Scenario& point : points)
     runs.push_back(static_cast<std::size_t>(point.runs));
-  const std::unique_ptr<CellQueue> queue =
-      make_cell_queue(StorageKind::Ram, runs);
+  const CellQueue queue(runs);
   CostModel model(points, campaign.configs);
 
   FabricReport report;
   const std::vector<bool> held =
       base.resume ? shard_coverage(points, campaign.configs, workers, out)
-                  : std::vector<bool>(queue->size(), false);
+                  : std::vector<bool>(queue.size(), false);
   report.cells_resumed =
       static_cast<std::size_t>(std::count(held.begin(), held.end(), true));
 
@@ -337,17 +336,17 @@ FabricReport run_fabric(const Campaign& campaign, const GridRunOptions& base,
   const auto requeue = [&](const DealBlock& block) {
     std::vector<std::size_t> counts(points.size(), 0);
     for (std::size_t k = block.begin; k < block.end; ++k)
-      ++counts[queue->at(k).point];
+      ++counts[queue.at(k).point];
     pending.push_back({block, std::move(counts)});
   };
-  for (const DealBlock& block : plan_blocks(model, *queue, workers,
+  for (const DealBlock& block : plan_blocks(model, queue, workers,
                                             fabric.static_blocks, held)) {
     requeue(block);
     report.cells_dealt += block.end - block.begin;
   }
   report.blocks = pending.size();
   std::cerr << "dealing " << report.blocks << " blocks ("
-            << report.cells_dealt << " of " << queue->size()
+            << report.cells_dealt << " of " << queue.size()
             << " cells) over " << workers << " workers -> " << out << '\n';
 
 #if defined(COREDIS_FABRIC_FORK)
@@ -420,7 +419,7 @@ FabricReport run_fabric(const Campaign& campaign, const GridRunOptions& base,
         procs[k].busy = false;
         // The block's one timing refines every point it touched, so the
         // next take_longest re-ranks the remaining blocks.
-        model.observe_span(*queue, begin, end, seconds);
+        model.observe_span(queue, begin, end, seconds);
       }
     };
     const auto deal_to_idle = [&] {

@@ -4,13 +4,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
-#include "extensions/batch.hpp"
 #include "extensions/online.hpp"
 #include "fault/exponential.hpp"
 #include "fault/weibull.hpp"
@@ -107,8 +104,7 @@ const std::vector<double>& CellWorkspace::release_times() {
   return releases_;
 }
 
-CellResult CellWorkspace::evaluate(const std::vector<ConfigSpec>& configs,
-                                   DispatchPath path) {
+CellResult CellWorkspace::evaluate(const std::vector<ConfigSpec>& configs) {
   CellResult cell;
   // Baseline: no redistribution, faults as configured. It also normalizes
   // the online-workload configurations — every scheduler of a repetition
@@ -129,61 +125,30 @@ CellResult CellWorkspace::evaluate(const std::vector<ConfigSpec>& configs,
       cell.results.push_back(baseline_);
       continue;
     }
+    // The one dispatch (DESIGN.md section 10.2): resolve the spec's
+    // canonical policy string and run the instantiated policy over the
+    // workspace's warm state — its engine, shared model/evaluator and
+    // lazy releases.
     auto faults = make_faults(scenario_, rep_, spec.force_fault_free);
-    if (path == DispatchPath::Registry ||
-        spec.scheduler == SchedulerKind::Registry) {
-      // The production path (DESIGN.md section 10.2): resolve the spec's
-      // canonical policy string and run the instantiated policy over the
-      // same warm state the legacy switch below uses — same engine, same
-      // shared model/evaluator, same lazy releases — so the two paths'
-      // artifacts are byte-identical (the differential battery locks it).
-      const policy::ResolvedPolicy resolved =
-          policy::resolve(canonical_policy(spec));
-      const std::function<const std::vector<double>&()> releases =
-          [this]() -> const std::vector<double>& { return release_times(); };
-      const policy::CellContext ctx{pack_,           resilience_,
-                                    scenario_.p,     *faults,
-                                    engine_.model(), engine_.evaluator(),
-                                    engine_,         releases,
-                                    policy_seed_};
-      cell.results.push_back(resolved.make()->run(ctx));
-      continue;
-    }
-    switch (spec.scheduler) {
-      case SchedulerKind::PackEngine:
-        cell.results.push_back(engine_.run(*faults, spec.engine));
-        break;
-      case SchedulerKind::OnlineMalleable:
-        cell.results.push_back(
-            extensions::to_run_result(extensions::run_online(
-                pack_, resilience_, scenario_.p, release_times(), *faults,
-                engine_.model(), engine_.evaluator())));
-        break;
-      case SchedulerKind::BatchEasy:
-      case SchedulerKind::BatchFcfs: {
-        extensions::BatchConfig batch;
-        batch.backfilling = spec.scheduler == SchedulerKind::BatchEasy;
-        cell.results.push_back(
-            extensions::to_run_result(extensions::run_batch(
-                pack_, resilience_, scenario_.p, release_times(), batch,
-                *faults, engine_.model(), engine_.evaluator())));
-        break;
-      }
-      case SchedulerKind::Registry:
-        // Unreachable: Registry specs take the branch above whatever the
-        // requested path — the legacy switch predates them.
-        throw std::logic_error("registry-only policy '" + spec.name +
-                               "' cannot run down the legacy dispatch");
-    }
+    const policy::ResolvedPolicy resolved =
+        policy::resolve(canonical_policy(spec));
+    const std::function<const std::vector<double>&()> releases =
+        [this]() -> const std::vector<double>& { return release_times(); };
+    const policy::CellContext ctx{pack_,           resilience_,
+                                  scenario_.p,     *faults,
+                                  engine_.model(), engine_.evaluator(),
+                                  engine_,         releases,
+                                  policy_seed_};
+    cell.results.push_back(resolved.make()->run(ctx));
   }
   return cell;
 }
 
 CellResult run_cell(const Scenario& scenario,
                     const std::vector<ConfigSpec>& configs,
-                    std::uint64_t rep, DispatchPath path) {
+                    std::uint64_t rep) {
   CellWorkspace workspace(scenario, rep);
-  return workspace.evaluate(configs, path);
+  return workspace.evaluate(configs);
 }
 
 PointResult make_point_frame(const std::vector<ConfigSpec>& configs) {

@@ -54,16 +54,6 @@ void append_config_results(std::string& out,
                            const std::vector<ConfigSpec>& configs,
                            const CellResult& cell);
 
-/// Which dispatch executes a configuration (DESIGN.md section 10.2).
-/// `Registry` — the production path — resolves canonical_policy(spec)
-/// against the policy registry and runs the instantiated policy over
-/// the cell's warm state. `Legacy` is the frozen pre-registry
-/// SchedulerKind switch, kept as the reference side of the differential
-/// battery (tests/policy_registry_test.cpp cmp-locks the two paths'
-/// campaign artifacts byte-for-byte); it cannot run registry-only
-/// policies and throws on SchedulerKind::Registry specs.
-enum class DispatchPath { Registry, Legacy };
-
 /// The warm per-(scenario, repetition) simulation state behind run_cell
 /// (DESIGN.md section 7.1), extracted so long-lived callers — the serving
 /// workspace pool (serve/pool.hpp) — can keep it across requests: one
@@ -82,12 +72,13 @@ class CellWorkspace {
   CellWorkspace& operator=(const CellWorkspace&) = delete;
 
   /// Simulate `configs` over this workspace's workload/fault/arrival
-  /// streams: exactly run_cell(scenario, rep, configs). The baseline is
+  /// streams: exactly run_cell(scenario, rep, configs). Every
+  /// configuration runs the policy its canonical_policy string resolves
+  /// to in the policy registry (DESIGN.md section 10.2). The baseline is
   /// simulated once on first use and cached — it is a pure function of
   /// the streams — so repeated evaluations only pay for the requested
   /// configurations.
-  [[nodiscard]] CellResult evaluate(const std::vector<ConfigSpec>& configs,
-                                    DispatchPath path = DispatchPath::Registry);
+  [[nodiscard]] CellResult evaluate(const std::vector<ConfigSpec>& configs);
 
   [[nodiscard]] const Scenario& scenario() const noexcept {
     return scenario_;
@@ -116,11 +107,10 @@ class CellWorkspace {
 /// thread runs it and of any other cell. The baseline (no RC, faults per
 /// the scenario) is always simulated to provide the normalizer; a config
 /// equal to it reuses that simulation instead of re-running it.
-/// Equivalent to CellWorkspace(scenario, rep).evaluate(configs, path).
+/// Equivalent to CellWorkspace(scenario, rep).evaluate(configs).
 [[nodiscard]] CellResult run_cell(const Scenario& scenario,
                                   const std::vector<ConfigSpec>& configs,
-                                  std::uint64_t rep,
-                                  DispatchPath path = DispatchPath::Registry);
+                                  std::uint64_t rep);
 
 /// An empty PointResult frame for `configs`: names set, all statistics
 /// at zero repetitions. The starting state of incremental folding.

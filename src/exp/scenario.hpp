@@ -55,11 +55,11 @@ struct Scenario {
   [[nodiscard]] extensions::ArrivalSpec arrival_spec() const;
 };
 
-/// Which simulator executes a configuration at a scenario point. The
-/// four legacy kinds survive as the frozen pre-registry dispatch (the
-/// reference side of the policy differential battery); `Registry` marks
+/// Which simulator a configuration names. The four preset kinds render
+/// to their registry spelling through canonical_policy, which is how
+/// every configuration runs (DESIGN.md section 10.2); `Registry` marks
 /// configurations that only exist as registered policies
-/// (policy/registry.hpp) and cannot run down the legacy path.
+/// (policy/registry.hpp).
 enum class SchedulerKind {
   PackEngine,       ///< the paper's engine (static pack; ignores releases)
   OnlineMalleable,  ///< extensions::run_online (arrival-driven, malleable)
@@ -86,7 +86,7 @@ struct ConfigSpec {
 };
 
 /// The canonical registry policy string of a spec: `spec.policy` when
-/// set, otherwise the legacy scheduler/engine fields rendered through
+/// set, otherwise the preset scheduler/engine fields rendered through
 /// the policy grammar (`pack(end=..., fail=..., ...)`, `malleable`,
 /// `easy`, `fcfs`). Two specs with equal canonical strings and equal
 /// force_fault_free run the exact same simulation.

@@ -1,11 +1,11 @@
 #include "exp/storage.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -172,120 +172,6 @@ class MmapScratch {
 
 #endif  // COREDIS_STORAGE_HAVE_MMAP
 
-// --- cell queues ----------------------------------------------------------
-
-class RamCellQueue final : public CellQueue {
- public:
-  explicit RamCellQueue(const std::vector<std::size_t>& runs_per_point) {
-    std::size_t total = 0;
-    for (const std::size_t runs : runs_per_point) total += runs;
-    cells_.reserve(total);
-    for (std::size_t point = 0; point < runs_per_point.size(); ++point)
-      for (std::size_t rep = 0; rep < runs_per_point[point]; ++rep)
-        cells_.push_back({point, rep});
-  }
-
-  [[nodiscard]] CellRef at(std::size_t index) const override {
-    COREDIS_EXPECTS(index < cells_.size());
-    return cells_[index];
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept override {
-    return cells_.size();
-  }
-
- private:
-  std::vector<CellRef> cells_;
-};
-
-/// Fixed-width (point, rep) records streamed to a scratch file at build
-/// time; lookups read one 16-byte record back. RAM stays O(1) however
-/// large the grid is — the out-of-core trade of the file backend.
-class FileCellQueue final : public CellQueue {
- public:
-  FileCellQueue(const std::vector<std::size_t>& runs_per_point,
-                const std::string& dir)
-      : scratch_(dir, "cellqueue") {
-    std::fstream& out = scratch_.stream();
-    for (std::size_t point = 0; point < runs_per_point.size(); ++point) {
-      for (std::size_t rep = 0; rep < runs_per_point[point]; ++rep) {
-        const std::uint64_t record[2] = {point, rep};
-        out.write(reinterpret_cast<const char*>(record), sizeof record);
-        ++size_;
-      }
-    }
-    out.flush();
-    if (!out)
-      throw std::runtime_error("storage: cannot write cell-queue layout to " +
-                               scratch_.path().string());
-  }
-
-  [[nodiscard]] CellRef at(std::size_t index) const override {
-    COREDIS_EXPECTS(index < size_);
-    // One tiny read per multi-millisecond cell: a mutex (portable, and
-    // trivially race-free under TSan) costs nothing here.
-    const std::lock_guard lock(mutex_);
-    std::fstream& in = scratch_.stream();
-    std::uint64_t record[2] = {0, 0};
-    in.seekg(static_cast<std::streamoff>(index * sizeof record));
-    in.read(reinterpret_cast<char*>(record), sizeof record);
-    if (!in)
-      throw std::runtime_error("storage: cannot read cell-queue layout from " +
-                               scratch_.path().string());
-    return {static_cast<std::size_t>(record[0]),
-            static_cast<std::size_t>(record[1])};
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept override { return size_; }
-
- private:
-  mutable ScratchFile scratch_;
-  mutable std::mutex mutex_;
-  std::size_t size_ = 0;
-};
-
-#if defined(COREDIS_STORAGE_HAVE_MMAP)
-
-/// The same fixed-width 16-byte records as FileCellQueue, but the file
-/// is mapped once after the build: `at` is a pair of memcpys from an
-/// immutable mapping — no seek/read syscalls, no mutex, safe under any
-/// number of concurrent readers.
-class MmapCellQueue final : public CellQueue {
- public:
-  MmapCellQueue(const std::vector<std::size_t>& runs_per_point,
-                const std::string& dir)
-      : scratch_(dir, "cellqueue_mmap") {
-    std::size_t total = 0;
-    for (const std::size_t runs : runs_per_point) total += runs;
-    scratch_.ensure(total * kRecordBytes);
-    char* out = scratch_.data();
-    for (std::size_t point = 0; point < runs_per_point.size(); ++point) {
-      for (std::size_t rep = 0; rep < runs_per_point[point]; ++rep) {
-        const std::uint64_t record[2] = {point, rep};
-        std::memcpy(out + size_ * kRecordBytes, record, kRecordBytes);
-        ++size_;
-      }
-    }
-  }
-
-  [[nodiscard]] CellRef at(std::size_t index) const override {
-    COREDIS_EXPECTS(index < size_);
-    std::uint64_t record[2] = {0, 0};
-    std::memcpy(record, scratch_.data() + index * kRecordBytes, kRecordBytes);
-    return {static_cast<std::size_t>(record[0]),
-            static_cast<std::size_t>(record[1])};
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept override { return size_; }
-
- private:
-  static constexpr std::size_t kRecordBytes = 2 * sizeof(std::uint64_t);
-  MmapScratch scratch_;
-  std::size_t size_ = 0;
-};
-
-#endif  // COREDIS_STORAGE_HAVE_MMAP
-
 // --- result spills --------------------------------------------------------
 
 class RamResultSpill final : public ResultSpill {
@@ -410,7 +296,10 @@ class MmapResultSpill final : public ResultSpill {
 
   void put(std::size_t index, std::string_view record) override {
     scratch_.ensure(end_ + record.size());
-    std::memcpy(scratch_.data() + end_, record.data(), record.size());
+    // An empty record may arrive before the first mapping exists, and
+    // memcpy from or to a null pointer is undefined even for 0 bytes.
+    if (!record.empty())
+      std::memcpy(scratch_.data() + end_, record.data(), record.size());
     pending_.emplace(index, Extent{end_, record.size()});
     end_ += record.size();
   }
@@ -481,19 +370,24 @@ const char* to_string(StorageKind kind) noexcept {
   return "ram";
 }
 
+CellQueue::CellQueue(const std::vector<std::size_t>& runs_per_point) {
+  ends_.reserve(runs_per_point.size());
+  std::size_t end = 0;
+  for (const std::size_t runs : runs_per_point) ends_.push_back(end += runs);
+}
+
+CellRef CellQueue::at(std::size_t index) const {
+  COREDIS_EXPECTS(index < size());
+  // The first point whose cells end past `index`; zero-run points end
+  // where their predecessor does, so they are never found.
+  const auto it = std::upper_bound(ends_.begin(), ends_.end(), index);
+  const auto point = static_cast<std::size_t>(it - ends_.begin());
+  return {point, index - (point == 0 ? 0 : ends_[point - 1])};
+}
+
 std::unique_ptr<CellQueue> make_cell_queue(
-    StorageKind kind, const std::vector<std::size_t>& runs_per_point,
-    const std::string& dir) {
-  if (kind == StorageKind::File)
-    return std::make_unique<FileCellQueue>(runs_per_point, dir);
-  if (kind == StorageKind::Mmap) {
-#if defined(COREDIS_STORAGE_HAVE_MMAP)
-    return std::make_unique<MmapCellQueue>(runs_per_point, dir);
-#else
-    throw_no_mmap();
-#endif
-  }
-  return std::make_unique<RamCellQueue>(runs_per_point);
+    StorageKind /*kind*/, const std::vector<std::size_t>& runs_per_point) {
+  return std::make_unique<CellQueue>(runs_per_point);
 }
 
 std::unique_ptr<ResultSpill> make_result_spill(StorageKind kind,

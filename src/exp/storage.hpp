@@ -1,46 +1,45 @@
 #pragma once
 
 /// \file storage.hpp
-/// Pluggable cell-queue and result-spill storage for grid/shard runs
-/// (DESIGN.md section 7.5).
+/// The cell layout and the pluggable result-spill storage of grid/shard
+/// runs (DESIGN.md section 7.5).
 ///
-/// A campaign worker holds two data structures whose size scales with the
-/// grid, not with the machine: the *cell queue* (the (point, repetition)
-/// layout of every cell the run will execute) and the *result spill* (the
-/// serialized records of cells that finished out of order, held back until
-/// the in-order committer can append them). Both hide behind an interface
-/// with interchangeable backends, the way layered search engines stack
-/// `queue_*`/`swap_*` implementations behind one contract:
+/// A campaign worker holds two data structures that grow with the grid:
+/// the *cell queue* (the (point, repetition) layout of every cell the run
+/// will execute) and the *result spill* (the serialized records of cells
+/// that finished out of order, held back until the in-order committer can
+/// append them).
 ///
-///  * `ram`  — everything in memory. Fastest; RAM is O(cells) for the
-///    queue and O(backlog bytes) for the spill. The default, and exactly
-///    the pre-storage-layer behavior.
-///  * `file` — bounded RAM. The queue streams its fixed-width layout
-///    records into an anonymous scratch file at build time and reads them
-///    back per lookup; the spill keeps at most `ram_budget_bytes` of
-///    record payload resident and appends the rest to a scratch file
-///    (record payloads on disk, a small offset index in RAM), truncating
-///    the file whenever the backlog fully drains.
-///  * `mmap` — bounded *heap*, `file`'s durability with `ram`'s access
-///    path (POSIX only). The queue and the spill both live in a
-///    scratch file mapped shared read-write: lookups and record
-///    round-trips are memcpy against the mapping (no seek+read
-///    syscall pair, no lock on the queue), capacity grows by
-///    ftruncate + remap in 1 MiB chunks, and the kernel's page cache
-///    decides what is resident — under memory pressure cold pages
-///    drop to disk instead of growing the heap.
+/// The cell queue is arithmetic. Point i contributes runs_per_point[i]
+/// consecutive cells, so the layout is the prefix sums of the repetition
+/// counts: O(points) memory whatever the grid's size, no scratch file and
+/// no lock.
 ///
-/// The backend choice cannot reach any output: queues serve the same
-/// refs in the same order and spills return the same bytes, so a grid
-/// run's JSONL artifact and aggregates are byte-identical across
-/// backends (locked by tests/storage_test.cpp). Scratch files live in
-/// `dir` (defaulting to the system temp directory) and are removed on
-/// destruction.
+/// The spill hides behind an interface with interchangeable backends, the
+/// way layered search engines stack `swap_*` implementations behind one
+/// contract; the storage kind selects only this backend:
 ///
-/// Thread safety: `CellQueue::at` is const and safe to call concurrently
-/// after construction. `ResultSpill` is *externally synchronized* — the
-/// in-order committer already serializes commits under its mutex, so the
-/// spill does not pay for a second lock.
+///  * `ram`  — every pending record in memory, O(backlog bytes). The
+///    default.
+///  * `file` — bounded RAM: at most `ram_budget_bytes` of record payload
+///    stays resident and the rest is appended to a scratch file (record
+///    payloads on disk, a small offset index in RAM), truncated whenever
+///    the backlog fully drains.
+///  * `mmap` — bounded *heap* (POSIX only): every payload lives in a
+///    scratch file mapped shared read-write; record round-trips are
+///    memcpy against the mapping, capacity grows by ftruncate + remap in
+///    1 MiB chunks, and the kernel's page cache decides what is resident.
+///
+/// The backend choice cannot reach any output: spills return the same
+/// bytes, so a grid run's JSONL artifact and aggregates are
+/// byte-identical across backends (locked by tests/storage_test.cpp).
+/// Scratch files live in `dir` (defaulting to the system temp directory)
+/// and are removed on destruction.
+///
+/// Thread safety: `CellQueue::at` is const and safe to call concurrently.
+/// `ResultSpill` is *externally synchronized* — the in-order committer
+/// already serializes commits under its mutex, so the spill does not pay
+/// for a second lock.
 
 #include <cstddef>
 #include <memory>
@@ -50,7 +49,7 @@
 
 namespace coredis::exp {
 
-/// Backend selector for the storage layer ("ram" | "file" | "mmap").
+/// Backend selector for the result spill ("ram" | "file" | "mmap").
 enum class StorageKind { Ram, File, Mmap };
 
 /// Parse "ram" / "file" / "mmap" (used by --storage flags). Throws
@@ -67,12 +66,19 @@ struct CellRef {
 };
 
 /// The flattened (point, repetition) layout of a run, cell index ->
-/// CellRef. Immutable once built; lookups are concurrency-safe.
+/// CellRef: point i contributes runs_per_point[i] consecutive cells.
+/// Stored as the prefix sums of the repetition counts, so a lookup is an
+/// upper_bound plus a subtraction. Immutable once built.
 class CellQueue {
  public:
-  virtual ~CellQueue() = default;
-  [[nodiscard]] virtual CellRef at(std::size_t index) const = 0;
-  [[nodiscard]] virtual std::size_t size() const noexcept = 0;
+  explicit CellQueue(const std::vector<std::size_t>& runs_per_point);
+  [[nodiscard]] CellRef at(std::size_t index) const;
+  [[nodiscard]] std::size_t size() const noexcept {
+    return ends_.empty() ? 0 : ends_.back();
+  }
+
+ private:
+  std::vector<std::size_t> ends_;  ///< one past each point's last cell
 };
 
 /// Holds byte records keyed by cell index until the committer drains
@@ -91,13 +97,10 @@ class ResultSpill {
   [[nodiscard]] virtual std::size_t resident_bytes() const noexcept = 0;
 };
 
-/// Build a cell queue over `runs_per_point` (point i contributes
-/// runs_per_point[i] consecutive cells). The file and mmap backends
-/// keep their layout in a scratch file under `dir` (empty: the system
-/// temp directory); construction streams, so peak RAM is O(points).
+/// CellQueue(runs_per_point) behind a pointer; the kind is ignored (the
+/// layout has one form). Kept only because coredis_bench calls it.
 [[nodiscard]] std::unique_ptr<CellQueue> make_cell_queue(
-    StorageKind kind, const std::vector<std::size_t>& runs_per_point,
-    const std::string& dir = {});
+    StorageKind kind, const std::vector<std::size_t>& runs_per_point);
 
 /// Build a result spill. The file backend keeps at most
 /// `ram_budget_bytes` of payload in RAM and spills the rest under `dir`;

@@ -66,7 +66,7 @@ struct BatchResult {
 };
 
 /// BatchResult as the campaign's per-run record: the one conversion the
-/// runner's legacy switch and the batch policies share.
+/// batch policies share.
 [[nodiscard]] core::RunResult to_run_result(BatchResult&& result);
 
 /// Simulate the batch execution with per-job release dates (one per pack

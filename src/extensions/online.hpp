@@ -87,8 +87,8 @@ struct OnlineResult {
   double mean_queue_wait = 0.0;          ///< mean (start - release)
 };
 
-/// OnlineResult as the campaign's per-run record: the one conversion the
-/// runner's legacy switch and every arrival-driven policy share.
+/// OnlineResult as the campaign's per-run record: the one conversion
+/// every arrival-driven policy shares.
 [[nodiscard]] core::RunResult to_run_result(OnlineResult&& result);
 
 /// Algorithm 1's greedy regrow (DESIGN.md section 8.2), the grant loop of

@@ -944,17 +944,16 @@ TEST(CampaignDeal, PlanTilesTheCellSpaceLongestFirst) {
   const Campaign campaign =
       parse_campaign("n = 6, 24\np = 48\nruns = 4\nconfigs = baseline\n");
   const std::vector<Scenario> points = campaign_points(campaign);
-  const std::unique_ptr<CellQueue> queue =
-      make_cell_queue(StorageKind::Ram, campaign_runs(points));
+  const CellQueue queue(campaign_runs(points));
   const CostModel model(points, campaign.configs);
   for (const std::size_t workers : {1u, 2u, 5u}) {
-    std::vector<DealBlock> blocks = plan_deal_blocks(model, *queue, workers);
+    std::vector<DealBlock> blocks = plan_deal_blocks(model, queue, workers);
     ASSERT_FALSE(blocks.empty());
     // The first block dealt is (one of) the predicted-longest.
     const auto block_cost = [&](const DealBlock& block) {
       double cost = 0.0;
       for (std::size_t k = block.begin; k < block.end; ++k)
-        cost += model.predict(queue->at(k).point);
+        cost += model.predict(queue.at(k).point);
       return cost;
     };
     for (std::size_t i = 1; i < blocks.size(); ++i)
@@ -970,7 +969,7 @@ TEST(CampaignDeal, PlanTilesTheCellSpaceLongestFirst) {
       EXPECT_LT(block.begin, block.end);
       next = block.end;
     }
-    EXPECT_EQ(next, queue->size());
+    EXPECT_EQ(next, queue.size());
   }
 }
 

@@ -1,15 +1,12 @@
-/// Tests of the checkpointing substrate: Young/Daly periods, the
-/// resilience cost model of section 3.1, and the buddy protocol state
-/// machine (double checkpointing, section 2.2).
+/// Tests of the checkpointing substrate: Young/Daly periods and the
+/// resilience cost model of section 3.1.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "checkpoint/buddy.hpp"
 #include "checkpoint/model.hpp"
 #include "checkpoint/period.hpp"
-#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace coredis::checkpoint {
@@ -93,61 +90,6 @@ TEST(ModelScaling, RateTimesPeriodIndependentOfProcessors) {
   for (int j = 4; j <= 4096; j *= 2)
     EXPECT_NEAR(model.task_rate(j) * model.period(c_seq, j), reference,
                 1e-9 * reference);
-}
-
-TEST(Buddy, OrdinaryFailureRollsBack) {
-  BuddyGroup group(4);
-  EXPECT_EQ(group.on_failure(3, 100.0, 10.0), FaultOutcome::Rollback);
-  EXPECT_TRUE(group.recovering(3, 105.0));
-  EXPECT_TRUE(group.recovering(2, 105.0));   // whole pair is busy
-  EXPECT_FALSE(group.recovering(0, 105.0));  // other pairs unaffected
-  EXPECT_FALSE(group.recovering(3, 111.0));  // recovery over
-  EXPECT_EQ(group.rollbacks(), 1);
-  EXPECT_EQ(group.fatal_failures(), 0);
-}
-
-TEST(Buddy, BuddyStruckDuringRecoveryIsFatal) {
-  BuddyGroup group(1);
-  EXPECT_EQ(group.on_failure(0, 100.0, 10.0), FaultOutcome::Rollback);
-  // Processor 1 (the buddy holding both copies) dies mid-recovery.
-  EXPECT_EQ(group.on_failure(1, 105.0, 10.0), FaultOutcome::Fatal);
-  EXPECT_EQ(group.fatal_failures(), 1);
-}
-
-TEST(Buddy, SameNodeFailingAgainIsNotFatal) {
-  BuddyGroup group(1);
-  EXPECT_EQ(group.on_failure(0, 100.0, 10.0), FaultOutcome::Rollback);
-  // The same node dying again just restarts its recovery: the buddy still
-  // holds both checkpoint copies.
-  EXPECT_EQ(group.on_failure(0, 105.0, 10.0), FaultOutcome::Rollback);
-  EXPECT_TRUE(group.recovering(0, 114.0));
-  EXPECT_EQ(group.fatal_failures(), 0);
-}
-
-TEST(Buddy, FailureAfterRecoveryIsOrdinary) {
-  BuddyGroup group(1);
-  group.on_failure(0, 100.0, 10.0);
-  EXPECT_EQ(group.on_failure(1, 120.0, 10.0), FaultOutcome::Rollback);
-  EXPECT_EQ(group.rollbacks(), 2);
-}
-
-/// At realistic scales (recovery of seconds-to-hours vs MTBFs of years)
-/// fatal double-faults are vanishingly rare — quantified here with an
-/// aggressive failure rate to keep the test fast.
-TEST(Buddy, FatalDoubleFaultsAreRareAtScale) {
-  Rng rng(77);
-  BuddyGroup group(64);
-  const double recovery = 10.0;
-  const double mtbf = 1.0e5;  // per node, far above recovery
-  int fatal = 0;
-  double now = 0.0;
-  for (int i = 0; i < 20000; ++i) {
-    now += rng.exponential(128.0 / mtbf);  // platform rate
-    const int node = static_cast<int>(rng.uniform_int(0, 127));
-    if (group.on_failure(node, now, recovery) == FaultOutcome::Fatal) ++fatal;
-  }
-  // P(buddy struck in a 10s window) ~ 1e-4 per failure.
-  EXPECT_LT(fatal, 20);
 }
 
 }  // namespace

@@ -17,10 +17,10 @@
 #include "extensions/online.hpp"
 #include "extensions/pack_partition.hpp"
 #include "extensions/silent_errors.hpp"
-#include "extensions/silent_sim.hpp"
 #include "fault/exponential.hpp"
 #include "full_lookahead.hpp"
 #include "literal_regrow.hpp"
+#include "silent_sim.hpp"
 #include "speedup/synthetic.hpp"
 #include "speedup/table_profile.hpp"
 #include "util/units.hpp"

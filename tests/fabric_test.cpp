@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -24,6 +25,7 @@
 
 #include "exp/campaign.hpp"
 #include "exp/fabric.hpp"
+#include "exp/storage.hpp"
 
 namespace coredis::exp {
 namespace {
@@ -209,18 +211,21 @@ TEST(CampaignFabric, MalformedAckStopsReapsAndSweepsEveryWorker) {
   fs::create_directories(dir);
   const auto out = dir / "out.jsonl";
   GridRunOptions options = fabric_options(out);
-  options.storage = StorageKind::File;
   options.storage_dir = dir.string();
 
   FabricOptions fabric;
   fabric.workers = 2;
-  // Each worker opens its file-backed cell queue (a pid-tagged scratch
-  // file), acks garbage, then waits for commands until it is stopped.
+  // Each worker opens its shard and spills one record through a file
+  // spill with a 1-byte budget (a pid-tagged scratch file), acks
+  // garbage, then waits for commands until it is stopped.
   fabric.worker_body = [](const std::vector<Scenario>& points,
                           const std::vector<ConfigSpec>& configs,
                           WorkerLink& link) {
     DealWorker worker(points, configs, link.index, link.workers,
                       link.options);
+    const std::unique_ptr<ResultSpill> spill = make_result_spill(
+        StorageKind::File, link.options.storage_dir, 1);
+    spill->put(0, "spilled-beyond-the-one-byte-budget");
     link.send("garbage\n");
     DealBlock block;
     while (link.next(block)) {

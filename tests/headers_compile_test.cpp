@@ -6,7 +6,6 @@
 /// deliberately absent: it is internal (DESIGN.md section 1) and owes no
 /// standalone-compilation guarantee.
 
-#include "checkpoint/buddy.hpp"
 #include "checkpoint/model.hpp"
 #include "checkpoint/period.hpp"
 #include "complexity/moldable.hpp"
@@ -30,7 +29,6 @@
 #include "extensions/online.hpp"
 #include "extensions/pack_partition.hpp"
 #include "extensions/silent_errors.hpp"
-#include "extensions/silent_sim.hpp"
 #include "fault/exponential.hpp"
 #include "fault/generator.hpp"
 #include "fault/per_processor.hpp"

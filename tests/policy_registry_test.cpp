@@ -1,12 +1,12 @@
 /// \file policy_registry_test.cpp
-/// The registry differential battery (DESIGN.md section 10): the policy
-/// registry is the production dispatch, and this suite locks it against
-/// the frozen pre-registry switch byte for byte. Three layers:
+/// The policy registry battery (DESIGN.md section 10). The registry is
+/// the one dispatch; three layers lock it:
 ///
 ///  * campaign artifacts: whole grids — offline paper configs, an
-///    online-arrival grid, both fault laws — run once per DispatchPath
-///    and the JSONL files must compare equal (cmp semantics, the
-///    lazy_equivalence pattern at the artifact level);
+///    online-arrival grid, both fault laws — must reproduce the record
+///    count and FNV-1a 64 digest committed when the frozen pre-registry
+///    switch still ran beside the registry and both produced these exact
+///    bytes;
 ///  * registry strings vs presets: `pack(end=..., fail=...)` spellings
 ///    must replay the preset ConfigSpecs double for double;
 ///  * the adaptive policies (bandit, reshape): deterministic in
@@ -16,6 +16,7 @@
 ///    the full-lookahead oracle of full_lookahead.hpp on a large pool.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -42,8 +43,8 @@
 namespace coredis::exp {
 namespace {
 
-/// Offline differential grid: every pack-engine cell of the paper set
-/// plus both fault laws (the Weibull requirement of the battery).
+/// Offline locked grid: every pack-engine cell of the paper set
+/// plus both fault laws.
 const char* const kOfflineCampaign = R"(
 n = 6
 p = 24
@@ -54,7 +55,7 @@ fault_law = exponential, weibull
 configs = paper
 )";
 
-/// Online-arrival differential grid: the three arrival-driven
+/// Online-arrival locked grid: the three arrival-driven
 /// schedulers under Poisson releases, again under both fault laws.
 const char* const kOnlineCampaign = R"(
 n = 6
@@ -121,15 +122,14 @@ class ThreadsEnv {
   std::string previous_;
 };
 
-/// Run the campaign under one dispatch path and return the artifact
-/// bytes (the file is removed afterwards).
-std::string campaign_bytes(const Campaign& campaign, DispatchPath path,
-                           const std::string& tag, std::size_t threads = 0) {
+/// Run the campaign and return the artifact bytes (the file is removed
+/// afterwards).
+std::string campaign_bytes(const Campaign& campaign, const std::string& tag,
+                           std::size_t threads = 0) {
   const std::filesystem::path file = temp_jsonl(tag);
   std::filesystem::remove(file);
   GridRunOptions options;
   options.jsonl_path = file.string();
-  options.dispatch = path;
   options.threads = threads;
   (void)run_campaign(campaign, options);
   std::string bytes = read_file(file);
@@ -137,24 +137,37 @@ std::string campaign_bytes(const Campaign& campaign, DispatchPath path,
   return bytes;
 }
 
+/// FNV-1a 64 of `bytes`.
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const unsigned char byte : bytes) {
+    hash ^= byte;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+/// Newline-terminated records of an artifact, its header included.
+std::size_t record_count(const std::string& bytes) {
+  return static_cast<std::size_t>(
+      std::count(bytes.begin(), bytes.end(), '\n'));
+}
+
+// The committed values were recorded while the frozen pre-registry
+// SchedulerKind switch still ran next to the registry and both paths
+// wrote these exact bytes: one header plus one record per cell.
 TEST(PolicyRegistryDifferential, OfflineGridByteIdentical) {
   const Campaign campaign = parse_campaign(kOfflineCampaign);
-  const std::string registry =
-      campaign_bytes(campaign, DispatchPath::Registry, "offline_reg");
-  const std::string legacy =
-      campaign_bytes(campaign, DispatchPath::Legacy, "offline_leg");
-  EXPECT_FALSE(registry.empty());
-  EXPECT_EQ(registry, legacy);
+  const std::string bytes = campaign_bytes(campaign, "offline");
+  EXPECT_EQ(record_count(bytes), 9u);
+  EXPECT_EQ(fnv1a64(bytes), 0x27f93d0c6bef4eccULL);
 }
 
 TEST(PolicyRegistryDifferential, OnlineArrivalGridByteIdentical) {
   const Campaign campaign = parse_campaign(kOnlineCampaign);
-  const std::string registry =
-      campaign_bytes(campaign, DispatchPath::Registry, "online_reg");
-  const std::string legacy =
-      campaign_bytes(campaign, DispatchPath::Legacy, "online_leg");
-  EXPECT_FALSE(registry.empty());
-  EXPECT_EQ(registry, legacy);
+  const std::string bytes = campaign_bytes(campaign, "online");
+  EXPECT_EQ(record_count(bytes), 5u);
+  EXPECT_EQ(fnv1a64(bytes), 0xa7e74c8f05c75080ULL);
 }
 
 void expect_identical(const core::RunResult& a, const core::RunResult& b) {
@@ -179,7 +192,7 @@ void expect_identical_cells(const CellResult& a, const CellResult& b) {
 }
 
 TEST(PolicyRegistryDifferential, RegistryStringsMatchPresets) {
-  // Every legacy SchedulerKind, spelled as a registry policy string,
+  // Every preset SchedulerKind, spelled as a registry policy string,
   // must replay the preset spec's simulation double for double — the
   // canonical strings route both through the same instantiated policy.
   Scenario scenario;
@@ -213,24 +226,41 @@ TEST(PolicyRegistryDifferential, RegistryStringsMatchPresets) {
     ASSERT_EQ(via_string.size(), 1u);
     EXPECT_EQ(via_string[0].scheduler, SchedulerKind::Registry);
     for (std::uint64_t rep = 0; rep < 2; ++rep) {
-      expect_identical_cells(
-          run_cell(scenario, via_string, rep, DispatchPath::Registry),
-          run_cell(scenario, {pair.preset}, rep, DispatchPath::Legacy));
+      expect_identical_cells(run_cell(scenario, via_string, rep),
+                             run_cell(scenario, {pair.preset}, rep));
     }
   }
 }
 
-TEST(PolicyRegistryDifferential, RegistryOnlySpecsRunUnderLegacyPathRequest) {
+TEST(PolicyRegistryDifferential, RegistryOnlySpecsRunBesidePresets) {
+  // A registry-only policy (no preset spells it) runs in the same cell as
+  // preset configurations, and sharing the cell changes no preset's
+  // simulation: each configuration replays the streams on its own.
   Scenario scenario;
   scenario.n = 4;
   scenario.p = 16;
-  scenario.mtbf_years = 0.0;
+  scenario.mtbf_years = 2.0;
+  scenario.runs = 2;
+  scenario.seed = 20260811ULL;
   validate_scenario(scenario);
   const std::vector<ConfigSpec> bandit = parse_config_set("bandit");
-  // Registry-only specs run fine down the (default) registry path even
-  // when the caller asks for the legacy one — the legacy switch simply
-  // cannot spell them, and plain legacy specs are unaffected.
-  (void)run_cell(scenario, bandit, 0, DispatchPath::Legacy);
+  ASSERT_EQ(bandit.size(), 1u);
+  EXPECT_EQ(bandit[0].scheduler, SchedulerKind::Registry);
+  const std::vector<ConfigSpec> mixed{stf_end_greedy(), bandit[0],
+                                      ig_end_local()};
+  for (std::uint64_t rep = 0; rep < 2; ++rep) {
+    SCOPED_TRACE(::testing::Message() << "rep=" << rep);
+    const CellResult together = run_cell(scenario, mixed, rep);
+    ASSERT_EQ(together.results.size(), mixed.size());
+    const CellResult stf = run_cell(scenario, {mixed[0]}, rep);
+    const CellResult alone = run_cell(scenario, bandit, rep);
+    const CellResult ig = run_cell(scenario, {mixed[2]}, rep);
+    EXPECT_EQ(together.baseline, alone.baseline);
+    expect_identical(together.results[0], stf.results[0]);
+    expect_identical(together.results[1], alone.results[0]);
+    expect_identical(together.results[2], ig.results[0]);
+    EXPECT_EQ(together.results[1].completion_times.size(), scenario.n);
+  }
 }
 
 // ---- adaptive policies: determinism in (seed, rep) -----------------------
@@ -260,24 +290,24 @@ TEST(PolicyAdaptiveDeterminism, GridBytesIndependentOfThreadCount) {
   std::string two;
   {
     ThreadsEnv env("1");
-    one = campaign_bytes(campaign, DispatchPath::Registry, "adaptive_t1");
+    one = campaign_bytes(campaign, "adaptive_t1");
   }
   {
     ThreadsEnv env("2");
-    two = campaign_bytes(campaign, DispatchPath::Registry, "adaptive_t2");
+    two = campaign_bytes(campaign, "adaptive_t2");
   }
   EXPECT_FALSE(one.empty());
   EXPECT_EQ(one, two);
   // Explicit worker override, no env: same bytes again.
   const std::string four =
-      campaign_bytes(campaign, DispatchPath::Registry, "adaptive_t4", 4);
+      campaign_bytes(campaign, "adaptive_t4", 4);
   EXPECT_EQ(one, four);
 }
 
 TEST(PolicyAdaptiveDeterminism, ShardMergeMatchesSingleRun) {
   const Campaign campaign = parse_campaign(kAdaptiveCampaign);
   const std::string single =
-      campaign_bytes(campaign, DispatchPath::Registry, "adaptive_single");
+      campaign_bytes(campaign, "adaptive_single");
 
   const std::filesystem::path merged = temp_jsonl("adaptive_merged");
   std::filesystem::remove(merged);

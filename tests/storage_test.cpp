@@ -1,10 +1,11 @@
-/// Storage-layer tests (exp/storage.hpp): the ram, file and mmap
-/// backends must be interchangeable — identical cell layouts, identical
-/// record bytes through the spill — the file spill must honour a tiny
-/// RAM budget, the mmap spill must survive ftruncate+remap growth
-/// across chunk boundaries, and a whole-grid run over each backend must
-/// reproduce the ram backend's JSONL artifact and aggregates bit for
-/// bit.
+/// Storage-layer tests (exp/storage.hpp): the cell queue must serve the
+/// literal nested-loop layout (points in order, repetitions contiguous)
+/// from any number of reader threads; the ram, file and mmap spills must
+/// be interchangeable — identical record bytes — the file spill must
+/// honour a tiny RAM budget, the mmap spill must survive ftruncate+remap
+/// growth across chunk boundaries, and a whole-grid run over each spill
+/// backend must reproduce the ram backend's JSONL artifact and
+/// aggregates bit for bit.
 
 #include <cstddef>
 #include <filesystem>
@@ -14,6 +15,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "exp/campaign.hpp"
@@ -39,29 +42,126 @@ TEST(StorageKindSelector, ParsesAndNamesEveryBackend) {
   }
 }
 
-TEST(CellQueueBackends, ServeTheSameLayoutInTheSameOrder) {
-  // Mixed repetition counts, including an empty point.
-  const std::vector<std::size_t> runs_per_point{3, 1, 0, 2};
-  const std::unique_ptr<CellQueue> ram =
-      make_cell_queue(StorageKind::Ram, runs_per_point);
-  ASSERT_EQ(ram->size(), 6u);
-  for (const StorageKind kind : {StorageKind::File, StorageKind::Mmap}) {
-    const std::unique_ptr<CellQueue> other =
-        make_cell_queue(kind, runs_per_point);
-    ASSERT_EQ(other->size(), 6u) << to_string(kind);
-    for (std::size_t k = 0; k < ram->size(); ++k) {
-      const CellRef a = ram->at(k);
-      const CellRef b = other->at(k);
-      EXPECT_EQ(a.point, b.point) << to_string(kind) << " cell " << k;
-      EXPECT_EQ(a.rep, b.rep) << to_string(kind) << " cell " << k;
-    }
+/// The layout spelled literally: every point in order, its repetitions
+/// contiguous.
+std::vector<CellRef> nested_loop_layout(
+    const std::vector<std::size_t>& runs_per_point) {
+  std::vector<CellRef> cells;
+  for (std::size_t point = 0; point < runs_per_point.size(); ++point)
+    for (std::size_t rep = 0; rep < runs_per_point[point]; ++rep)
+      cells.push_back({point, rep});
+  return cells;
+}
+
+void expect_nested_loop_layout(const std::vector<std::size_t>& runs) {
+  const CellQueue queue(runs);
+  const std::vector<CellRef> want = nested_loop_layout(runs);
+  ASSERT_EQ(queue.size(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    const CellRef got = queue.at(k);
+    ASSERT_EQ(got.point, want[k].point) << "cell " << k;
+    ASSERT_EQ(got.rep, want[k].rep) << "cell " << k;
   }
-  // The layout itself: points in order, repetitions contiguous.
-  EXPECT_EQ(ram->at(0).point, 0u);
-  EXPECT_EQ(ram->at(2).rep, 2u);
-  EXPECT_EQ(ram->at(3).point, 1u);
-  EXPECT_EQ(ram->at(4).point, 3u);
-  EXPECT_EQ(ram->at(5).rep, 1u);
+}
+
+TEST(CellQueueBackends, ServeTheSameLayoutInTheSameOrder) {
+  const std::vector<std::vector<std::size_t>> grids{
+      {},         // empty grid
+      {0},        // one point without runs
+      {0, 0, 0},  // only empty points
+      {5},        // single point
+      {1},        // single cell
+      {4, 1, 3},  // several points, no empty one
+  };
+  for (const std::vector<std::size_t>& runs : grids) {
+    SCOPED_TRACE(::testing::Message() << "points " << runs.size());
+    expect_nested_loop_layout(runs);
+  }
+}
+
+TEST(CellQueueBackends, ZeroRunPointsOwnNoCells) {
+  const std::vector<std::vector<std::size_t>> grids{
+      {0, 3, 1},           // zero-run point at the front
+      {3, 1, 0, 2},        // ... in the middle
+      {2, 2, 0},           // ... at the back
+      {0, 4, 0, 0, 1, 0},  // several, everywhere
+  };
+  for (const std::vector<std::size_t>& runs : grids) {
+    SCOPED_TRACE(::testing::Message() << "points " << runs.size());
+    expect_nested_loop_layout(runs);
+    const CellQueue queue(runs);
+    for (std::size_t k = 0; k < queue.size(); ++k)
+      EXPECT_NE(runs[queue.at(k).point], 0u) << "cell " << k;
+  }
+}
+
+TEST(CellQueueBackends, LargeGridMatchesTheNestedLoop) {
+  // About 10^5 cells over points of mixed sizes, empty ones included.
+  std::vector<std::size_t> large;
+  for (std::size_t point = 0; point < 1170; ++point)
+    large.push_back(point % 7 == 3 ? 0 : (point * 37) % 199 + 1);
+  expect_nested_loop_layout(large);
+}
+
+TEST(CellQueueBackends, CopiesServeTheSameLayout) {
+  // Runners hold the queue by value, often built from a runs vector that
+  // dies first: a copy or a move must not depend on its source.
+  std::vector<std::size_t> runs{2, 0, 3, 1};
+  const CellQueue original(runs);
+  const CellQueue copy = original;
+  CellQueue source(runs);
+  const CellQueue moved = std::move(source);
+  runs.assign(runs.size(), 9);
+  const std::vector<CellRef> want = nested_loop_layout({2, 0, 3, 1});
+  ASSERT_EQ(copy.size(), want.size());
+  ASSERT_EQ(moved.size(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(copy.at(k).point, want[k].point) << "cell " << k;
+    EXPECT_EQ(copy.at(k).rep, want[k].rep) << "cell " << k;
+    EXPECT_EQ(moved.at(k).point, want[k].point) << "cell " << k;
+    EXPECT_EQ(moved.at(k).rep, want[k].rep) << "cell " << k;
+  }
+}
+
+TEST(CellQueueBackends, ShimIgnoresTheStorageKind) {
+  for (const StorageKind kind :
+       {StorageKind::Ram, StorageKind::File, StorageKind::Mmap}) {
+    const std::unique_ptr<CellQueue> shim = make_cell_queue(kind, {3, 1, 0, 2});
+    ASSERT_EQ(shim->size(), 6u) << to_string(kind);
+    EXPECT_EQ(shim->at(4).point, 3u) << to_string(kind);
+    EXPECT_EQ(shim->at(5).rep, 1u) << to_string(kind);
+  }
+}
+
+TEST(CellQueueBackends, IndexPastTheEndViolatesThePrecondition) {
+  const CellQueue queue({3, 0, 2});
+  EXPECT_DEATH((void)queue.at(queue.size()), "precondition");
+  const CellQueue empty({});
+  EXPECT_DEATH((void)empty.at(0), "precondition");
+}
+
+TEST(CellQueueBackends, ConcurrentReadersSeeTheSameLayout) {
+  std::vector<std::size_t> runs;
+  for (std::size_t point = 0; point < 300; ++point)
+    runs.push_back(point % 5 == 0 ? 0 : point % 13 + 1);
+  const CellQueue queue(runs);
+  const std::vector<CellRef> want = nested_loop_layout(runs);
+  constexpr std::size_t kReaders = 4;
+  std::vector<std::size_t> mismatches(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < kReaders; ++r)
+    readers.emplace_back([&, r] {
+      // Each reader walks the whole layout from its own offset.
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        const std::size_t k = (i + r * want.size() / kReaders) % want.size();
+        const CellRef got = queue.at(k);
+        if (got.point != want[k].point || got.rep != want[k].rep)
+          ++mismatches[r];
+      }
+    });
+  for (std::thread& reader : readers) reader.join();
+  for (std::size_t r = 0; r < kReaders; ++r)
+    EXPECT_EQ(mismatches[r], 0u) << "reader " << r;
 }
 
 TEST(ResultSpillBackends, RoundTripExactBytesOutOfOrder) {
@@ -130,19 +230,9 @@ TEST(ResultSpillBackends, ScratchFilesAreRemovedOnDestruction) {
   }
   EXPECT_TRUE(std::filesystem::is_empty(dir));
   {
-    const std::unique_ptr<CellQueue> queue =
-        make_cell_queue(StorageKind::File, {2, 2}, dir);
-    EXPECT_EQ(queue->size(), 4u);
-    EXPECT_FALSE(std::filesystem::is_empty(dir));
-  }
-  EXPECT_TRUE(std::filesystem::is_empty(dir));
-  {
     const std::unique_ptr<ResultSpill> spill =
         make_result_spill(StorageKind::Mmap, dir);
     spill->put(0, "mapped");
-    const std::unique_ptr<CellQueue> queue =
-        make_cell_queue(StorageKind::Mmap, {2, 2}, dir);
-    EXPECT_EQ(queue->size(), 4u);
     EXPECT_FALSE(std::filesystem::is_empty(dir));
   }
   EXPECT_TRUE(std::filesystem::is_empty(dir));

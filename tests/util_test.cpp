@@ -318,28 +318,40 @@ TEST(ParallelFor, SingleThreadFallback) {
 
 TEST(ParallelFor, BalancesAFrontLoadedQueue) {
   // A front-loaded cost profile: all the slow indices come first, the
-  // order an LPT-fed caller produces. The gate only requires the loop to
-  // land far under the 64 ms a serialized slow half would cost —
-  // catching a schedule that degenerates to one worker — with a wide
-  // margin so the test stays robust on loaded runners.
+  // order an LPT-fed caller produces. The shared counter hands the first
+  // eight claims — all slow — to the eight workers, so every worker must
+  // be inside a slow body at once. Each slow body waits (up to a
+  // deadline) for all eight to be in flight; a schedule that degenerates
+  // to fewer workers never gets there and the peak reports it. The
+  // rendezvous is a count, not a stopwatch, so a loaded runner delays
+  // the test without failing it.
   constexpr std::size_t kCount = 64;
+  constexpr std::size_t kWorkers = 8;
+  constexpr auto kPoll = std::chrono::microseconds(50);
   std::vector<std::atomic<int>> hits(kCount);
-  const auto started = std::chrono::steady_clock::now();
+  std::atomic<std::size_t> in_flight{0};
+  std::atomic<std::size_t> peak{0};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto slow_body = [&] {
+    const std::size_t now = in_flight.fetch_add(1) + 1;
+    std::size_t seen = peak.load();
+    while (seen < now && !peak.compare_exchange_weak(seen, now)) {
+    }
+    while (peak.load() < kWorkers &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(kPoll);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    in_flight.fetch_sub(1);
+  };
   parallel_for(kCount,
                [&](std::size_t i) {
-                 if (i < kCount / 2)
-                   std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                 if (i < kCount / 2) slow_body();
                  hits[i].fetch_add(1);
                },
-               8);
-  const auto elapsed = std::chrono::steady_clock::now() - started;
+               kWorkers);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  // Sequential slow half is 64 ms; eight workers should land far under
-  // half of that, but even on a noisy single-core runner we only require
-  // "meaningfully better than sequential".
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
-                .count(),
-            60);
+  EXPECT_EQ(peak.load(), kWorkers);
 }
 
 TEST(Cli, ParsesFormsAndDefaults) {

@@ -20,7 +20,7 @@
 /// the merge (`grid_w4` — on a single-core runner the shards run one
 /// after another and the reported wall-clock is the coordinator's
 /// critical path, slowest shard + merge), and at 8 threads over the ram
-/// vs the file storage backend with a 1 MiB spill budget
+/// vs the file spill backend with a 1 MiB spill budget
 /// (`grid_ram8`/`grid_spill`). Every scenario runs in a forked child on
 /// POSIX so the report can record a true per-scenario peak RSS next to
 /// its timings.
@@ -47,6 +47,7 @@
 #include <limits>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -94,6 +95,10 @@ struct GridPoint {
   /// Online-workload point: run_online over Poisson releases at this
   /// offered load instead of the engine (0 = engine scenario).
   double online_load = 0.0;
+  /// Engine point only: every timed run builds a fresh engine, skips the
+  /// warm-up and replays the same fault stream, so the row times the cold
+  /// coefficient fills a campaign cell pays.
+  bool cold = false;
   /// Whole-campaign point: run the pinned bench campaign through this
   /// many shard-fabric workers instead of the engine (0 = not a grid
   /// scenario; 1 = single process).
@@ -101,7 +106,7 @@ struct GridPoint {
   /// Grid scenario only: threads per worker (1 mirrors a real worker on
   /// this runner; 8 creates the commit reordering the spill feeds on).
   int grid_threads = 1;
-  /// Grid scenario only: file storage backend with a 1 MiB spill budget.
+  /// Grid scenario only: file spill backend with a 1 MiB spill budget.
   bool grid_file_storage = false;
   /// Grid scenario only: campaign text override (null = kGridCampaign).
   const char* grid_campaign = nullptr;
@@ -175,6 +180,16 @@ std::vector<GridPoint> pinned_grid(bool smoke) {
       }
     }
   }
+  // STF's phase 2 on a wide pool, cold: n = 100 on p = 10000 (100
+  // processors per task, not the paper's 10). At a fault STF deepens the
+  // struck task's column by one pair per transfer, and those single-step
+  // Eq. 4 cache growths dominate the cell — a growth policy that copies
+  // the whole row on every step shows here first.
+  GridPoint stf_phase2{"n100_p10000_stf_exp", 100, 10000,
+                       core::FailurePolicy::ShortestTasksFirst, false, 1,
+                       0.0};
+  stf_phase2.cold = true;
+  grid.push_back(stf_phase2);
   // Online-workload cells: the malleable scheduler over Poisson releases
   // (DESIGN.md section 8), at a moderate and a saturating offered load.
   for (const double load : {1.0, 4.0}) {
@@ -367,10 +382,9 @@ Measurement run_grid_point(const GridPoint& point) {
       std::vector<std::size_t> runs_per_point;
       for (const exp::Scenario& grid_point : grid_points)
         runs_per_point.push_back(static_cast<std::size_t>(grid_point.runs));
-      const std::unique_ptr<exp::CellQueue> queue =
-          exp::make_cell_queue(exp::StorageKind::Ram, runs_per_point);
+      const exp::CellQueue queue(runs_per_point);
       const exp::CostModel model(grid_points, campaign.configs);
-      blocks = exp::plan_deal_blocks(model, *queue, workers);
+      blocks = exp::plan_deal_blocks(model, queue, workers);
     } else {
       for (std::size_t k = 0; k < workers; ++k) {
         const auto [begin, end] =
@@ -422,37 +436,37 @@ Measurement run_point(const GridPoint& point, int runs) {
   core::EngineConfig config;
   config.end_policy = core::EndPolicy::Local;
   config.failure_policy = point.failure_policy;
-  core::Engine engine(pack, resilience, p, config);
+  std::optional<core::Engine> warm;
 
   const double mtbf = units::years(kMtbfYears);
+  const auto run_on = [&](core::Engine& engine, std::uint64_t seed) {
+    if (point.weibull) {
+      fault::WeibullGenerator gen(p, mtbf, 0.7, seed);
+      return engine.run(gen);
+    }
+    fault::ExponentialGenerator gen(p, 1.0 / mtbf, Rng(seed));
+    return engine.run(gen);
+  };
   long long events = 0, faults = 0, checkpoints = 0;
   double makespan_sum = 0.0;
   double total_seconds = 0.0;
   double min_seconds = std::numeric_limits<double>::infinity();
-  {
+  if (!point.cold) {
     // Untimed warm-up: fills the coefficient table and the allocator pools
     // so the timed runs measure steady state, not first-touch cost. Uses
     // the scenario's own fault law so the warmed state matches.
-    if (point.weibull) {
-      fault::WeibullGenerator gen(p, mtbf, 0.7, kSeed ^ 0x5EEDULL);
-      (void)engine.run(gen);
-    } else {
-      fault::ExponentialGenerator gen(p, 1.0 / mtbf, Rng(kSeed ^ 0x5EEDULL));
-      (void)engine.run(gen);
-    }
+    warm.emplace(pack, resilience, p, config);
+    (void)run_on(*warm, kSeed ^ 0x5EEDULL);
   }
   for (int run = 0; run < runs; ++run) {
     const auto start = std::chrono::steady_clock::now();
-    core::RunResult result;
-    if (point.weibull) {
-      fault::WeibullGenerator gen(p, mtbf, 0.7,
-                                  kSeed + static_cast<std::uint64_t>(run));
-      result = engine.run(gen);
-    } else {
-      fault::ExponentialGenerator gen(
-          p, 1.0 / mtbf, Rng(kSeed + static_cast<std::uint64_t>(run)));
-      result = engine.run(gen);
-    }
+    std::optional<core::Engine> fresh;
+    core::Engine& engine =
+        point.cold ? fresh.emplace(pack, resilience, p, config) : *warm;
+    // A cold row replays one fault stream, so its min-over-runs filters
+    // noise over identical work instead of picking the cheapest stream.
+    const core::RunResult result = run_on(
+        engine, kSeed + (point.cold ? 0 : static_cast<std::uint64_t>(run)));
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
     total_seconds += elapsed.count();

@@ -185,12 +185,12 @@ int main(int argc, char** argv) {
                   "into --out, then exit")
         .describe("keep-shards", "keep per-shard files after a --workers merge")
         .describe("storage",
-                  "cell-queue/result-spill backend: ram (default), file "
-                  "(bounded RAM; see --spill-mb), or mmap (memory-mapped "
-                  "scratch, page-cache resident; POSIX only)")
+                  "result-spill backend: ram (default), file (bounded RAM; "
+                  "see --spill-mb), or mmap (memory-mapped scratch, "
+                  "page-cache resident; POSIX only)")
         .describe("spill-dir",
-                  "scratch directory for --storage file/mmap (default: "
-                  "system temp)")
+                  "scratch directory for the --storage file/mmap spill "
+                  "(default: system temp)")
         .describe("spill-mb",
                   "RAM budget in MiB for the file-backed result spill "
                   "(default: 16)");
