@@ -98,6 +98,12 @@ struct EngineState {
   long long checkpoints_taken = 0;
   double time_lost_to_faults = 0.0;
 
+  // EndLocal work counters (EngineProfile's fields of the same names):
+  // plain increments, always on.
+  long long end_local_scans = 0;
+  long long bound_rejections = 0;
+  long long carried_drops = 0;
+
   // Optional allocation-timeline recording (EngineConfig::record_timeline):
   // commit() closes a segment whenever a task's sigma changes; the engine
   // closes the final segment at completion.
@@ -123,7 +129,9 @@ struct EngineState {
   // failed improvability scans across events: while the task's version is
   // unchanged, the pool no larger and the time before the conservative
   // horizon, the task is provably still unimprovable and is dropped in
-  // O(1) without probing anything.
+  // O(1) without probing anything. A verdict settled by EndLocal's work
+  // bound carries an infinite horizon: that bound never falls while the
+  // version holds and the pool does not grow (heuristics.cpp).
   std::vector<std::uint32_t> version;
   struct ScanCache {
     std::uint32_t version = 0;
@@ -266,6 +274,14 @@ struct EngineState {
 /// Algorithm 3 (EndLocal): grow the currently-longest tasks with the k
 /// idle processors, pair by pair. Returns true if anything was committed.
 bool end_local(EngineState& state, double t);
+
+/// EndLocal's O(1) work bound (heuristics.cpp, DESIGN.md section 6.5): a
+/// lower bound on the candidate tE of every even target in
+/// (sigma, sigma + k] of task i at time t and tentative fraction alpha_t,
+/// from no Eq. 4 evaluation. A scan whose bound reaches tU fails.
+[[nodiscard]] double end_local_work_bound(const EngineState& state, int i,
+                                          double t, double alpha_t, int sigma,
+                                          int k);
 
 /// EndGreedy (section 5.2): full RC-aware rebuild at a task termination.
 bool end_greedy(EngineState& state, double t);

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -120,6 +121,7 @@ RunResult Engine::run(fault::Generator& faults) {
   EngineProfile profile;
   const bool profiling = config_.profile;
   if (profiling) state.profile = &profile;
+  const std::uint64_t filled_before = evaluator.entries_filled();
   double mark = profiling ? profile_now() : 0.0;
   const auto phase = [&](double& sink) {
     if (!profiling) return;
@@ -330,6 +332,11 @@ RunResult Engine::run(fault::Generator& faults) {
     // Both shares are already net of commits, so probe scans and commits
     // read as disjoint phases.
     profile.scan_seconds = profile.failure_scan_seconds + end_scan_seconds;
+    profile.end_local_scans = state.end_local_scans;
+    profile.bound_rejections = state.bound_rejections;
+    profile.carried_drops = state.carried_drops;
+    profile.eq4_entries =
+        static_cast<long long>(evaluator.entries_filled() - filled_before);
     result.profile = profile;
   }
   result.makespan = *std::max_element(result.completion_times.begin(),

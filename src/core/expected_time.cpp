@@ -307,13 +307,15 @@ TrEvaluator::TrEvaluator(const ExpectedTimeModel& model, int max_processors)
 void TrEvaluator::Column::extend(std::size_t want) const {
   auto& pm = slot_->prefix_min;
   const std::size_t have = pm.size();
+  owner_->filled_ += want - have;
   pm.resize(want);
   // Batch fill straight into the column: probe_many streams the raw Eq. 4
   // values (independent expm1 calls overlap in the pipeline), then the
   // in-place sweep applies the exact Eq. 6 prefix-min — the same std::min
   // sequence as the one-at-a-time loop, on the same bits.
-  model_->probe_many(task_, static_cast<int>(have), static_cast<int>(want),
-                     alpha_, pm.data() + have);
+  owner_->model_->probe_many(task_, static_cast<int>(have),
+                             static_cast<int>(want), alpha_,
+                             pm.data() + have);
   double running =
       have == 0 ? std::numeric_limits<double>::infinity() : pm[have - 1];
   for (std::size_t h = have; h < want; ++h) {
@@ -356,7 +358,7 @@ TrEvaluator::Column TrEvaluator::column(int task, double alpha) {
   }
   slot->last_used = ++clock_;
   slot->epoch = epoch_;
-  return Column(model_, slot, task, alpha);
+  return Column(this, slot, task, alpha);
 }
 
 void TrEvaluator::invalidate(int task) {

@@ -370,10 +370,11 @@ class TrEvaluator {
           // (~7x the throughput of the dependency-chained step loop).
           extend(want);
         } else {
+          owner_->filled_ += want - pm.size();
           while (pm.size() < want) {
             const int next_j = 2 * (static_cast<int>(pm.size()) + 1);
             const double raw =
-                model_->expected_time_raw(task_, next_j, alpha_);
+                owner_->model_->expected_time_raw(task_, next_j, alpha_);
             pm.push_back(pm.empty() ? raw : std::min(pm.back(), raw));
           }
         }
@@ -413,13 +414,13 @@ class TrEvaluator {
 
    private:
     friend class TrEvaluator;
-    Column(const ExpectedTimeModel* model, Slot* slot, int task, double alpha)
-        : model_(model), slot_(slot), task_(task), alpha_(alpha) {}
+    Column(TrEvaluator* owner, Slot* slot, int task, double alpha)
+        : owner_(owner), slot_(slot), task_(task), alpha_(alpha) {}
 
     /// Batched fill of the missing prefix entries via probe_many.
     void extend(std::size_t want) const;
 
-    const ExpectedTimeModel* model_;
+    TrEvaluator* owner_;  ///< model and fill counter
     Slot* slot_;
     int task_;
     double alpha_;
@@ -444,6 +445,13 @@ class TrEvaluator {
   /// slots cannot capture; cheap, slots rebuild lazily).
   void invalidate(int task);
 
+  /// Eq. 4 entries filled into any column over the evaluator's lifetime
+  /// (one per raw value computed, batched or single). A plain counter:
+  /// callers read it before and after a run for that run's fill work.
+  [[nodiscard]] std::uint64_t entries_filled() const noexcept {
+    return filled_;
+  }
+
  private:
   /// Slot 0 is the pinned alpha = 1.0 column; eviction only ever
   /// considers the remaining slots.
@@ -453,6 +461,7 @@ class TrEvaluator {
   int max_j_;
   std::uint64_t clock_ = 0;
   std::uint64_t epoch_ = 0;
+  std::uint64_t filled_ = 0;
   std::vector<std::array<Slot, kSlotsPerTask>> slots_;
 };
 

@@ -23,7 +23,11 @@
 /// the scan's exact margins (how fast they can decay, and how soon a
 /// checkpoint-count boundary of Eq. 2 could discontinuously improve a
 /// candidate), and until that horizon — same committed state, no larger
-/// pool — the task is dropped in O(1) without probing anything. Probes
+/// pool — the task is dropped in O(1) without probing anything. Before a
+/// scan fills anything, an O(1) work bound over the whole target range
+/// (no Eq. 4 evaluation) settles many of the scans that would fail; at
+/// the committed state its verdict is carried with no horizon at all,
+/// because the bound cannot fall while that state holds. Probes
 /// themselves are never approximated: any scan that actually runs is the
 /// from-scratch exact scan, which also survives unconditionally behind
 /// EngineConfig::eager_scans for the equivalence tests.
@@ -344,6 +348,38 @@ double drop_horizon(const EngineState& s, int i, double t, double alpha_t,
 
 }  // namespace
 
+/// O(1) lower bound on the candidate tE of every even target in
+/// (sigma, sigma + k] of task i's EndLocal scan (DESIGN.md section 6.5):
+///
+///   t + m_i / min(top, 2 sigma_init) + C_i / top + alpha_t t_{i,top},
+///
+/// top = sigma + k. Term by term, for every target > sigma_init:
+///  * Eq. 9's RC^{sigma_init -> target} is m_i / target up to target =
+///    2 sigma_init and at least m_i / (2 sigma_init) beyond, so at least
+///    m_i / min(top, 2 sigma_init) (0 under the zero-RC ablation);
+///  * C_i / target >= C_i / top (0 in the fault-free context);
+///  * Eq. 4 is at least its work alpha t_{i,j}: (1/lambda) expm1(lambda x)
+///    >= x and e^{lambda R} >= 1. The speedup contract makes t_{i,j}
+///    non-increasing in j (speedup/model.hpp), so Eq. 6's prefix-min is
+///    at least alpha t_{i,target} >= alpha t_{i,top} as well.
+/// No Eq. 4 value and no coefficient record: t_{i,top} comes straight
+/// from the pack. While task i's version holds and the pool does not
+/// grow, the bound never falls: alpha^t drops at most dt / t_{i,sigma_init}
+/// over dt seconds and t_{i,top} <= t_{i,sigma_init}, so the alpha term
+/// loses at most the dt that the t term gains.
+double end_local_work_bound(const EngineState& s, int i, double t,
+                            double alpha_t, int sigma, int k) {
+  const int top = sigma + k;
+  const Pack& pack = s.model->pack();
+  double bound = t + alpha_t * pack.fault_free_time(i, top);
+  if (!s.zero_redistribution_cost)
+    bound += pack.task(i).data_size /
+             static_cast<double>(std::min(top, 2 * s.task(i).sigma));
+  if (!s.model->resilience().fault_free())
+    bound += s.model->sequential_checkpoint(i) / static_cast<double>(top);
+  return bound;
+}
+
 bool end_local(EngineState& s, double t) {
   const int n = s.n();
   int k = s.platform->free_count();
@@ -372,8 +408,10 @@ bool end_local(EngineState& s, double t) {
       const EngineState::ScanCache& cache =
           s.scan_cache[static_cast<std::size_t>(i)];
       if (cache.k >= k && cache.version == s.version[static_cast<std::size_t>(i)] &&
-          t <= cache.horizon)
+          t <= cache.horizon) {
+        ++s.carried_drops;
         continue;
+      }
     }
     tU[static_cast<std::size_t>(i)] = s.task(i).tU;
     heap.emplace_back(s.task(i).tU, i);
@@ -393,6 +431,7 @@ bool end_local(EngineState& s, double t) {
       const EngineState::ScanCache& cache = s.scan_cache[idx];
       if (cache.k >= k && cache.version == s.version[idx] &&
           t <= cache.horizon) {
+        ++s.carried_drops;
         heap_drop_top(heap);
         continue;
       }
@@ -402,34 +441,53 @@ bool end_local(EngineState& s, double t) {
     // carried verdicts most pops never probe, so the per-event
     // all-included tentative-alpha sweep would be mostly dead work.
     alpha_t[idx] = s.alpha_tentative(i, t);
-    // Prefill the whole scan range in one probe_many batch (lazy path):
-    // the surviving scans are overwhelmingly full-width failures, and a
-    // batched fill streams independent expm1 calls at several times the
-    // throughput of the one-step-per-probe fill. Value-neutral.
-    if (!s.eager_scans)
-      (void)s.tr->column(i, alpha_t[idx])(new_sigma[idx] + k);
-    const CandidateProber probe(s, t, i, alpha_t[idx]);
-    // Improvability probe (Alg. 3 lines 10-15): first q that helps.
+    ++s.end_local_scans;
+    // Lazy path: a work bound at or above tU over the whole target range
+    // proves the scan fails, with no fill and no probe (see
+    // end_local_work_bound; the relative shave covers rounding in both
+    // sums).
+    const bool bounded =
+        !s.eager_scans &&
+        end_local_work_bound(s, i, t, alpha_t[idx], new_sigma[idx], k) *
+                (1.0 - 1e-12) >=
+            tU[idx];
     bool improvable = false;
     double first_tE = 0.0;  // tE at new_sigma + 2, reused on grant
-    for (int q = 2; q <= k; q += 2) {
-      const double tE = probe(new_sigma[idx] + q);
-      if (q == 2) first_tE = tE;
-      if (tE < tU[idx]) {
-        improvable = true;
-        break;
+    if (bounded) {
+      ++s.bound_rejections;
+    } else {
+      // Prefill the whole scan range in one probe_many batch (lazy
+      // path): the surviving scans are overwhelmingly full-width
+      // failures, and a batched fill streams independent expm1 calls at
+      // several times the throughput of the one-step-per-probe fill.
+      // Value-neutral.
+      if (!s.eager_scans)
+        (void)s.tr->column(i, alpha_t[idx])(new_sigma[idx] + k);
+      const CandidateProber probe(s, t, i, alpha_t[idx]);
+      // Improvability probe (Alg. 3 lines 10-15): first q that helps.
+      for (int q = 2; q <= k; q += 2) {
+        const double tE = probe(new_sigma[idx] + q);
+        if (q == 2) first_tE = tE;
+        if (tE < tU[idx]) {
+          improvable = true;
+          break;
+        }
       }
     }
     if (!improvable) {  // dropped for good; try the next-longest task
       if (!s.eager_scans && at_committed) {
-        // The scan filled this (task, alpha_t) column to (sigma + k) / 2;
-        // its prefix-min and the coefficient records price the horizon.
+        // A bounded verdict never expires (end_local_work_bound). A
+        // scanned one filled this (task, alpha_t) column to
+        // (sigma + k) / 2; its prefix-min and the coefficient records
+        // price the horizon.
         EngineState::ScanCache& cache = s.scan_cache[idx];
         cache.version = s.version[idx];
         cache.k = k;
         cache.horizon =
-            drop_horizon(s, i, t, alpha_t[idx], new_sigma[idx], k, tU[idx],
-                         s.tr->column(i, alpha_t[idx]).prefix());
+            bounded ? std::numeric_limits<double>::infinity()
+                    : drop_horizon(s, i, t, alpha_t[idx], new_sigma[idx], k,
+                                   tU[idx],
+                                   s.tr->column(i, alpha_t[idx]).prefix());
       }
       heap_drop_top(heap);
       continue;

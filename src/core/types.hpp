@@ -86,7 +86,9 @@ struct HeuristicCombo {
 /// allocation commits. Counters give the per-phase denominators. The
 /// failure_* fields split out the fault-time rebuilds (ShortestTasksFirst
 /// or IteratedGreedy): a subset of the scan phase and of the calls, with
-/// their commits carved out the same way.
+/// their commits carved out the same way. The work counters at the end
+/// are plain operation counts (no clock reads): deterministic for a
+/// given scenario and seed, so tests can pin them exactly.
 struct EngineProfile {
   double algorithm1_seconds = 0.0;  ///< initial Algorithm 1 build
   double dispatch_seconds = 0.0;    ///< event selection + rollbacks
@@ -97,6 +99,15 @@ struct EngineProfile {
   long long heuristic_calls = 0;    ///< end/failure policy invocations
   long long failure_calls = 0;      ///< heuristic_calls share of STF/IG
   long long commits = 0;            ///< commit batches applied
+  /// EndLocal improvability scans: heap pops not settled by a carried
+  /// verdict (bound rejections included).
+  long long end_local_scans = 0;
+  /// end_local_scans share settled by the O(1) work bound, no Eq. 4 fill.
+  long long bound_rejections = 0;
+  /// EndLocal tasks dropped on a carried verdict, with no scan at all.
+  long long carried_drops = 0;
+  /// Eq. 4 entries filled into the evaluator's Eq. 6 columns, all callers.
+  long long eq4_entries = 0;
 };
 
 /// Per-fault instrumentation record (Figure 9).

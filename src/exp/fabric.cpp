@@ -90,12 +90,13 @@ void close_fd(int& fd) {
   fd = -1;
 }
 
-/// Remove a dead worker's scratch files. Workers leave via _Exit (and
-/// signaled ones never unwind at all), so the self-deleting spill scratch
-/// destructors (exp/storage.cpp) do not run — the coordinator sweeps the
+/// Remove a dead worker's scratch files. The spill scratch
+/// (exp/storage.cpp) unlinks its name right after opening it, so a
+/// worker that leaves via _Exit or a signal strands nothing — except when
+/// it dies in the instant between the two. The coordinator sweeps the
 /// pid-tagged names (`coredis_<tag>_<pid>_<seq>.bin`) from the spill
-/// directory instead. Best-effort: a failed removal must not mask the
-/// run's own outcome.
+/// directory to cover that window. Best-effort: a failed removal must not
+/// mask the run's own outcome.
 void remove_worker_scratch(const std::string& dir, pid_t pid) {
   namespace fs = std::filesystem;
   std::error_code ignored;

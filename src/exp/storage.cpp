@@ -41,29 +41,52 @@ std::uint64_t process_tag() {
 #endif
 }
 
-/// A self-deleting scratch file under `dir`, opened read+write. Names
-/// carry the process tag and a process-wide sequence number so concurrent
-/// workers (and concurrent stores within one worker) never collide.
+/// The name of a fresh scratch file under `dir` (the temp directory when
+/// empty). Names carry the process tag and a process-wide sequence number
+/// so concurrent workers (and concurrent stores within one worker) never
+/// collide.
+fs::path scratch_path(const std::string& dir, const char* tag) {
+  static std::atomic<std::uint64_t> sequence{0};
+  const fs::path parent =
+      dir.empty() ? fs::temp_directory_path() : fs::path(dir);
+  return parent / ("coredis_" + std::string(tag) + "_" +
+                   std::to_string(process_tag()) + "_" +
+                   std::to_string(sequence.fetch_add(1)) + ".bin");
+}
+
+/// A self-deleting scratch file under `dir`, opened read+write. On POSIX
+/// its name is unlinked right after it is opened: the open stream and
+/// descriptor keep the file alive, so a process that dies without
+/// unwinding (a signal, abort, _exit) leaves nothing behind. Elsewhere
+/// the destructor removes it.
 class ScratchFile {
  public:
-  ScratchFile(const std::string& dir, const char* tag) {
-    static std::atomic<std::uint64_t> sequence{0};
-    const fs::path parent = dir.empty() ? fs::temp_directory_path()
-                                        : fs::path(dir);
-    path_ = parent / ("coredis_" + std::string(tag) + "_" +
-                      std::to_string(process_tag()) + "_" +
-                      std::to_string(sequence.fetch_add(1)) + ".bin");
+  ScratchFile(const std::string& dir, const char* tag)
+      : path_(scratch_path(dir, tag)) {
     stream_.open(path_, std::ios::binary | std::ios::in | std::ios::out |
                             std::ios::trunc);
     if (!stream_)
       throw std::runtime_error("storage: cannot create scratch file " +
                                path_.string());
+#if defined(COREDIS_STORAGE_HAVE_MMAP)
+    // A second descriptor on the same file: reset() truncates through it
+    // once the name is gone.
+    fd_ = ::open(path_.c_str(), O_RDWR);
+    if (fd_ < 0)
+      throw std::runtime_error("storage: cannot reopen scratch file " +
+                               path_.string() + ": " + std::strerror(errno));
+    ::unlink(path_.c_str());
+#endif
   }
 
   ~ScratchFile() {
     stream_.close();
+#if defined(COREDIS_STORAGE_HAVE_MMAP)
+    ::close(fd_);
+#else
     std::error_code ignored;
     fs::remove(path_, ignored);
+#endif
   }
 
   ScratchFile(const ScratchFile&) = delete;
@@ -76,9 +99,14 @@ class ScratchFile {
   /// append starts over, so disk usage is bounded by the peak backlog.
   void reset() {
     stream_.flush();
+#if defined(COREDIS_STORAGE_HAVE_MMAP)
+    const bool failed = ::ftruncate(fd_, 0) != 0;
+#else
     std::error_code error;
     fs::resize_file(path_, 0, error);
-    if (error)
+    const bool failed = static_cast<bool>(error);
+#endif
+    if (failed)
       throw std::runtime_error("storage: cannot truncate scratch file " +
                                path_.string());
     stream_.clear();
@@ -87,37 +115,35 @@ class ScratchFile {
  private:
   fs::path path_;
   std::fstream stream_;
+#if defined(COREDIS_STORAGE_HAVE_MMAP)
+  int fd_ = -1;
+#endif
 };
 
 #if defined(COREDIS_STORAGE_HAVE_MMAP)
 
 /// A self-deleting scratch file mapped shared read-write, grown by
-/// ftruncate + remap in fixed chunks. Same naming scheme as ScratchFile
-/// so the coordinator's crash sweep catches these too; unlike
-/// ScratchFile it hands out raw bytes, not a stream — readers and
-/// writers memcpy against `data()`.
+/// ftruncate + remap in fixed chunks. Same naming scheme as ScratchFile,
+/// and like it unlinked right after it is opened (the descriptor keeps
+/// it alive), so the coordinator's crash sweep only has to cover the
+/// instant between the two; unlike ScratchFile it hands out raw bytes,
+/// not a stream — readers and writers memcpy against `data()`.
 class MmapScratch {
  public:
   static constexpr std::size_t kChunk = std::size_t{1} << 20;  // 1 MiB
 
-  MmapScratch(const std::string& dir, const char* tag) {
-    static std::atomic<std::uint64_t> sequence{0};
-    const fs::path parent =
-        dir.empty() ? fs::temp_directory_path() : fs::path(dir);
-    path_ = parent / ("coredis_" + std::string(tag) + "_" +
-                      std::to_string(process_tag()) + "_" +
-                      std::to_string(sequence.fetch_add(1)) + ".bin");
+  MmapScratch(const std::string& dir, const char* tag)
+      : path_(scratch_path(dir, tag)) {
     fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0600);
     if (fd_ < 0)
       throw std::runtime_error("storage: cannot create mmap scratch file " +
                                path_.string() + ": " + std::strerror(errno));
+    ::unlink(path_.c_str());
   }
 
   ~MmapScratch() {
     if (map_ != nullptr) ::munmap(map_, capacity_);
     if (fd_ >= 0) ::close(fd_);
-    std::error_code ignored;
-    fs::remove(path_, ignored);
   }
 
   MmapScratch(const MmapScratch&) = delete;

@@ -33,8 +33,10 @@
 /// The backend choice cannot reach any output: spills return the same
 /// bytes, so a grid run's JSONL artifact and aggregates are
 /// byte-identical across backends (locked by tests/storage_test.cpp).
-/// Scratch files live in `dir` (defaulting to the system temp directory)
-/// and are removed on destruction.
+/// Scratch files live in `dir` (defaulting to the system temp directory).
+/// On POSIX their names are unlinked as soon as they are opened, so even
+/// a process killed mid-run leaves none behind; elsewhere they are
+/// removed on destruction.
 ///
 /// Thread safety: `CellQueue::at` is const and safe to call concurrently.
 /// `ResultSpill` is *externally synchronized* — the in-order committer

@@ -7,7 +7,9 @@
 ///
 ///  * whole-run engine equivalence over randomized grids, both fault
 ///    laws, every policy pair — lazy (default) vs EngineConfig::
-///    eager_scans in the same test run;
+///    eager_scans in the same test run — and over the contexts that move
+///    EndLocal's work bound (fault-free, Amdahl, tabulated, Weibull,
+///    zero-RC, p = 100n), each required to have fired the bound;
 ///  * the online scheduler over a shared warm workspace vs the
 ///    self-contained overload, over both generated arrival laws (the
 ///    grant loop itself is locked against the literal one-grant-per-pop
@@ -15,23 +17,32 @@
 ///  * white-box invariants of the carried-verdict cache (the "lazy
 ///    queue"): a failed scan stores a verdict at the scanned pool and
 ///    current version, commits invalidate it, and within its horizon the
-///    carried drop agrees with an eager re-scan.
+///    carried drop agrees with an eager re-scan — up to task end for a
+///    verdict the work bound settled; and every rejection of that bound
+///    checked against the literal failing-scan oracle
+///    (failing_scan_oracle.hpp).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <gtest/gtest.h>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/detail/engine_state.hpp"
 #include "core/engine.hpp"
 #include "extensions/online.hpp"
+#include "failing_scan_oracle.hpp"
 #include "fault/exponential.hpp"
+#include "fault/generator.hpp"
 #include "fault/weibull.hpp"
 #include "speedup/amdahl.hpp"
 #include "speedup/synthetic.hpp"
+#include "speedup/table_profile.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -124,6 +135,89 @@ TEST(LazyEquivalence, ZeroRcAblationMatchesEagerScans) {
                    run_engine(pack, resilience, 64, eager, false, 11ULL));
 }
 
+/// One context of the work-bound battery: a speedup profile, a fault
+/// law and platform shape the bound's terms read differently (the
+/// fault-free C_i = 0, the zero-RC ablation, a flat tabulated tail...).
+struct BoundContext {
+  const char* name;
+  speedup::ModelPtr speedup;
+  double mtbf_years;  ///< 0 = fault-free
+  bool weibull;
+  bool zero_rc;
+  int n;
+  int processors_per_task;
+};
+
+core::RunResult run_context(const BoundContext& ctx, const core::Pack& pack,
+                            core::EngineConfig config, std::uint64_t seed) {
+  const checkpoint::Model resilience({units::years(ctx.mtbf_years), 60.0, 1.0,
+                                      checkpoint::PeriodRule::Young, 0.0});
+  const int p = ctx.n * ctx.processors_per_task;
+  config.zero_redistribution_cost = ctx.zero_rc;
+  core::Engine engine(pack, resilience, p, config);
+  if (ctx.mtbf_years <= 0.0) {
+    fault::NullGenerator gen(p);
+    return engine.run(gen);
+  }
+  const double mtbf = units::years(ctx.mtbf_years);
+  if (ctx.weibull) {
+    fault::WeibullGenerator gen(p, mtbf, 0.7, seed);
+    return engine.run(gen);
+  }
+  fault::ExponentialGenerator gen(p, 1.0 / mtbf, Rng(seed));
+  return engine.run(gen);
+}
+
+TEST(LazyEquivalence, WorkBoundEdgeContextsMatchEagerScans) {
+  // EndLocal's work bound (DESIGN.md section 6.5) in the contexts that
+  // change its terms: lazy and eager must replay the same simulation,
+  // and in every fault-aware context the bound must actually have
+  // settled scans — otherwise the comparison proves nothing about it.
+  const auto synthetic = std::make_shared<speedup::SyntheticModel>(0.08);
+  // A measured-looking profile whose tail is flat past 256 processors
+  // (TableModel clamps beyond its last sample).
+  const auto table = std::make_shared<speedup::TableModel>(
+      2.0e6, std::vector<std::pair<int, double>>{{1, 4.2e7},
+                                                 {2, 2.2e7},
+                                                 {8, 6.5e6},
+                                                 {32, 2.4e6},
+                                                 {256, 1.1e6}});
+  const BoundContext contexts[] = {
+      {"fault-free", synthetic, 0.0, false, false, 12, 10},
+      {"amdahl", std::make_shared<speedup::AmdahlModel>(0.08), 10.0, false,
+       false, 12, 10},
+      {"table", table, 10.0, false, false, 12, 10},
+      {"weibull", synthetic, 10.0, true, false, 12, 10},
+      {"zero-rc", synthetic, 10.0, false, true, 12, 10},
+      {"p=100n", synthetic, 10.0, false, false, 8, 100},
+  };
+  for (const BoundContext& ctx : contexts) {
+    long long rejections = 0;
+    for (const std::uint64_t seed : {0x5CA7ULL, 0x5CA8ULL, 0x5CA9ULL}) {
+      Rng pack_rng(seed);
+      const core::Pack pack = core::Pack::uniform_random(
+          ctx.n, 1.5e6, 2.5e6, ctx.speedup, pack_rng);
+      for (const auto fail : {core::FailurePolicy::ShortestTasksFirst,
+                              core::FailurePolicy::IteratedGreedy}) {
+        SCOPED_TRACE(::testing::Message() << ctx.name << " seed=" << seed
+                                          << " fail=" << to_string(fail));
+        core::EngineConfig lazy;
+        lazy.end_policy = core::EndPolicy::Local;
+        lazy.failure_policy = fail;
+        lazy.profile = true;
+        core::EngineConfig eager = lazy;
+        eager.eager_scans = true;
+        const core::RunResult a = run_context(ctx, pack, lazy, seed);
+        const core::RunResult b = run_context(ctx, pack, eager, seed);
+        expect_identical(a, b);
+        EXPECT_EQ(b.profile.bound_rejections, 0) << "eager scans never bound";
+        rejections += a.profile.bound_rejections;
+      }
+    }
+    EXPECT_GT(rejections, 0) << ctx.name << ": the bound never fired";
+  }
+}
+
 void expect_identical_online(const extensions::OnlineResult& a,
                              const extensions::OnlineResult& b) {
   EXPECT_EQ(a.makespan, b.makespan);
@@ -199,10 +293,10 @@ class ScanCacheTest : public ::testing::Test {
   // so the textbook profile isolates the plateau), and no EndLocal grant
   // can pay the redistribution cost — scans fail deterministically and
   // the carried verdicts are exercised.
-  ScanCacheTest()
+  explicit ScanCacheTest(double mtbf_years = 100.0)
       : pack_({{2.0e6}, {1.6e6}, {2.4e6}, {1.9e6}},
               std::make_shared<speedup::AmdahlModel>(0.9995)),
-        resilience_({units::years(100.0), 60.0, 1.0,
+        resilience_({units::years(mtbf_years), 60.0, 1.0,
                      checkpoint::PeriodRule::Young, 0.0}),
         model_(pack_, resilience_),
         platform_(40),
@@ -310,6 +404,148 @@ TEST_F(ScanCacheTest, CarriedDropAgreesWithEagerWithinHorizon) {
       EXPECT_EQ(state_.task(i).sigma, fresh.task(i).sigma);
       EXPECT_EQ(state_.task(i).tU, fresh.task(i).tU);
     }
+  }
+}
+
+/// The same plateaued pack under rare faults (MTBF 10^5 years): Eq. 4's
+/// fault overhead is far below the redistribution cost of any grant, so
+/// EndLocal's work bound settles the failing scans outright.
+class BoundScanCacheTest : public ScanCacheTest {
+ protected:
+  BoundScanCacheTest() : ScanCacheTest(1.0e5) {}
+};
+
+TEST_F(BoundScanCacheTest, RejectedVerdictHoldsUntilTaskEnd) {
+  // A scan settled by the work bound at the committed state carries its
+  // verdict with no horizon. Step forward to the first task end: the
+  // lazy state (dropping on those verdicts) and a fresh eager state must
+  // agree at every step, and the literal scan of each carried task must
+  // still fail up to that task's own end.
+  const double t0 = 0.05 * model_.fault_free_time(0, 8);
+  {
+    platform::Platform eager_platform(40);
+    core::detail::EngineState fresh = eager_clone(eager_platform);
+    ASSERT_FALSE(core::detail::end_local(state_, t0));
+    ASSERT_FALSE(core::detail::end_local(fresh, t0));
+  }
+  std::vector<int> forever;
+  double first_end = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < state_.n(); ++i) {
+    const auto idx = static_cast<std::size_t>(i);
+    first_end = std::min(first_end, state_.task(i).proj_end);
+    if (state_.scan_cache[idx].horizon ==
+        std::numeric_limits<double>::infinity())
+      forever.push_back(i);
+  }
+  ASSERT_GT(state_.bound_rejections, 0);
+  ASSERT_FALSE(forever.empty()) << "no verdict was settled by the bound";
+
+  for (const double frac : {0.1, 0.4, 0.7, 0.95, 0.999}) {
+    const double t1 = t0 + frac * (first_end - t0);
+    const long long carried = state_.carried_drops;
+    platform::Platform eager_platform(40);
+    core::detail::EngineState fresh = eager_clone(eager_platform);
+    const bool lazy_changed = core::detail::end_local(state_, t1);
+    ASSERT_EQ(lazy_changed, core::detail::end_local(fresh, t1))
+        << "t1=" << t1;
+    ASSERT_FALSE(lazy_changed);
+    EXPECT_GE(state_.carried_drops - carried,
+              static_cast<long long>(forever.size()));
+    for (int i = 0; i < state_.n(); ++i) {
+      EXPECT_EQ(state_.task(i).sigma, fresh.task(i).sigma);
+      EXPECT_EQ(state_.task(i).tU, fresh.task(i).tU);
+    }
+  }
+  for (const int i : forever) {
+    const core::detail::TaskRuntime& task = state_.task(i);
+    for (const double frac : {0.25, 0.5, 0.75, 0.99, 0.9999}) {
+      const double t1 = t0 + frac * (task.proj_end - t0);
+      EXPECT_GE(oracle::literal_scan_min(state_, i, t1,
+                                         state_.alpha_tentative(i, t1),
+                                         task.sigma, 8),
+                task.tU)
+          << "task " << i << " t1=" << t1;
+    }
+  }
+}
+
+TEST(WorkBound, EveryRejectionFailsTheLiteralScan) {
+  // Random task states in the bound's contexts, probed at random times,
+  // pools and in-call grants: the bound never exceeds the smallest
+  // literal tE of the scan, and whenever it rejects (reaches tU) that
+  // smallest tE does not beat tU either. Every context must reject some
+  // states and keep some, so neither half of the check is vacuous.
+  struct Context {
+    const char* name;
+    speedup::ModelPtr speedup;
+    double mtbf_years;
+    bool zero_rc;
+  };
+  const auto synthetic = std::make_shared<speedup::SyntheticModel>(0.08);
+  const Context contexts[] = {
+      {"fault-free", synthetic, 0.0, false},
+      {"synthetic", synthetic, 10.0, false},
+      {"amdahl", std::make_shared<speedup::AmdahlModel>(0.3), 100.0, false},
+      {"table",
+       std::make_shared<speedup::TableModel>(
+           2.0e6, std::vector<std::pair<int, double>>{
+                      {1, 4.2e7}, {4, 1.2e7}, {16, 4.0e6}, {40, 2.6e6}}),
+       10.0, false},
+      {"zero-rc", synthetic, 10.0, true},
+  };
+  constexpr int kTasks = 6;
+  for (const Context& ctx : contexts) {
+    SCOPED_TRACE(ctx.name);
+    Rng rng(0x0DDBA11ULL);
+    const core::Pack pack =
+        core::Pack::uniform_random(kTasks, 1.5e6, 2.5e6, ctx.speedup, rng);
+    const checkpoint::Model resilience({units::years(ctx.mtbf_years), 60.0,
+                                        1.0, checkpoint::PeriodRule::Young,
+                                        0.0});
+    const core::ExpectedTimeModel model(pack, resilience);
+    core::TrEvaluator evaluator(model, 128);
+    core::detail::EngineState s;
+    s.model = &model;
+    s.tr = &evaluator;
+    s.zero_redistribution_cost = ctx.zero_rc;
+    s.tasks.resize(kTasks);
+    int rejected = 0;
+    int kept = 0;
+    for (int trial = 0; trial < 2000; ++trial) {
+      const int i = static_cast<int>(rng.uniform01() * kTasks);
+      core::detail::TaskRuntime& task = s.task(i);
+      task.sigma = 2 * (1 + static_cast<int>(rng.uniform01() * 24));
+      // Log-uniform in [1e-3, 1]: late tasks gain the least from growth.
+      task.alpha = std::pow(10.0, -3.0 * rng.uniform01());
+      task.tlastR = 1e6 * rng.uniform01();
+      task.tU = task.tlastR + model.expected_time(i, task.sigma, task.alpha);
+      const double t =
+          task.tlastR + rng.uniform01() * model.simulated_duration(
+                                              i, task.sigma, task.alpha);
+      const double alpha_t = s.alpha_tentative(i, t);
+      // Pairs granted earlier in the same EndLocal call: the key is then
+      // the literal tE of the current allocation, as a grant sets it.
+      const int granted = 2 * static_cast<int>(rng.uniform01() * 4);
+      const int sigma = task.sigma + granted;
+      const double tU =
+          granted == 0
+              ? task.tU
+              : oracle::literal_scan_min(s, i, t, alpha_t, sigma - 2, 2);
+      const int k = 2 * (1 + static_cast<int>(rng.uniform01() * 24));
+      const double bound =
+          core::detail::end_local_work_bound(s, i, t, alpha_t, sigma, k) *
+          (1.0 - 1e-12);
+      const double best = oracle::literal_scan_min(s, i, t, alpha_t, sigma, k);
+      EXPECT_LE(bound, best) << "trial " << trial;
+      if (bound >= tU) {
+        ++rejected;
+        EXPECT_GE(best, tU) << "trial " << trial;
+      } else {
+        ++kept;
+      }
+    }
+    EXPECT_GT(rejected, 0);
+    EXPECT_GT(kept, 0);
   }
 }
 

@@ -3,9 +3,10 @@
 /// from any number of reader threads; the ram, file and mmap spills must
 /// be interchangeable — identical record bytes — the file spill must
 /// honour a tiny RAM budget, the mmap spill must survive ftruncate+remap
-/// growth across chunk boundaries, and a whole-grid run over each spill
-/// backend must reproduce the ram backend's JSONL artifact and
-/// aggregates bit for bit.
+/// growth across chunk boundaries, neither may leave a scratch file
+/// behind (even when its process dies without unwinding), and a
+/// whole-grid run over each spill backend must reproduce the ram
+/// backend's JSONL artifact and aggregates bit for bit.
 
 #include <cstddef>
 #include <filesystem>
@@ -18,6 +19,9 @@
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "exp/campaign.hpp"
 #include "exp/storage.hpp"
@@ -216,25 +220,69 @@ TEST(ResultSpillBackends, FileSpillHonoursTheRamBudget) {
   EXPECT_EQ(out, records[0]);
 }
 
-TEST(ResultSpillBackends, ScratchFilesAreRemovedOnDestruction) {
-  const std::string dir = (std::filesystem::temp_directory_path() /
-                           "coredis_storage_test_scratch")
-                              .string();
+/// A fresh, empty directory under the temp directory.
+std::filesystem::path fresh_dir(const char* name) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / name;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  {
-    const std::unique_ptr<ResultSpill> spill =
-        make_result_spill(StorageKind::File, dir, 1);
-    spill->put(0, "spilled-beyond-the-one-byte-budget");
-    EXPECT_FALSE(std::filesystem::is_empty(dir));
+  return dir;
+}
+
+TEST(ResultSpillBackends, ScratchFilesAreRemovedOnDestruction) {
+  // The scratch names are unlinked as soon as the files are opened: the
+  // directory stays empty while the spills hold records (which still read
+  // back, across a drain and refill that truncates the unnamed file), and
+  // after they are gone.
+  const std::filesystem::path dir = fresh_dir("coredis_storage_test_scratch");
+  for (const StorageKind kind : {StorageKind::File, StorageKind::Mmap}) {
+    SCOPED_TRACE(to_string(kind));
+    {
+      const std::unique_ptr<ResultSpill> spill =
+          make_result_spill(kind, dir.string(), 1);
+      std::string out;
+      for (const char* record : {"spilled-beyond-the-one-byte-budget",
+                                 "refilled-after-the-drain"}) {
+        spill->put(0, record);
+        EXPECT_TRUE(std::filesystem::is_empty(dir));
+        ASSERT_TRUE(spill->take(0, out));
+        EXPECT_EQ(out, record);
+      }
+    }
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
   }
-  EXPECT_TRUE(std::filesystem::is_empty(dir));
-  {
-    const std::unique_ptr<ResultSpill> spill =
-        make_result_spill(StorageKind::Mmap, dir);
-    spill->put(0, "mapped");
-    EXPECT_FALSE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ResultSpillBackends, ProcessDeathWithoutUnwindingLeavesNoScratch) {
+  // A forked child spills a record into each file-backed spill, then
+  // leaves through _exit: no destructor runs. Nothing carrying its pid
+  // may remain in the spill directory.
+  const std::filesystem::path dir = fresh_dir("coredis_storage_test_death");
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    const std::unique_ptr<ResultSpill> file =
+        make_result_spill(StorageKind::File, dir.string(), 1);
+    const std::unique_ptr<ResultSpill> mmap =
+        make_result_spill(StorageKind::Mmap, dir.string());
+    file->put(0, "spilled-beyond-the-one-byte-budget");
+    mmap->put(0, "mapped");
+    ::_exit(file->pending() == 1 && mmap->pending() == 1 ? 0 : 1);
   }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0) << "the child could not spill";
+  // Appends, not an operator+ chain: GCC 12 misfires -Wrestrict on the
+  // latter (GCC PR105329).
+  std::string pid_tag = "_";
+  pid_tag += std::to_string(child);
+  pid_tag += '_';
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    EXPECT_EQ(entry.path().filename().string().find(pid_tag),
+              std::string::npos)
+        << entry.path();
   EXPECT_TRUE(std::filesystem::is_empty(dir));
   std::filesystem::remove_all(dir);
 }

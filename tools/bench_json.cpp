@@ -190,6 +190,16 @@ std::vector<GridPoint> pinned_grid(bool smoke) {
                        0.0};
   stf_phase2.cold = true;
   grid.push_back(stf_phase2);
+  if (!smoke) {
+    // cold_hetero's heaviest cell, cold: n = 1000 on p = 10000 with
+    // IteratedGreedy. EndLocal's improvability scans dominate it, so a
+    // return of the per-scan Eq. 4 column fill the work bound skips
+    // shows here.
+    GridPoint ig_cold{"n1000_p10000_ig_exp", 1000, 10000,
+                      core::FailurePolicy::IteratedGreedy, false, 1, 0.0};
+    ig_cold.cold = true;
+    grid.push_back(ig_cold);
+  }
   // Online-workload cells: the malleable scheduler over Poisson releases
   // (DESIGN.md section 8), at a moderate and a saturating offered load.
   for (const double load : {1.0, 4.0}) {

@@ -173,6 +173,10 @@ int run_single(const exp::Scenario& scenario, const CliParser& cli) {
     row("probe scans + heap", prof.scan_seconds);
     row("  STF/IG at faults", prof.failure_scan_seconds);
     row("commits           ", prof.commit_seconds);
+    std::cout << "work: " << prof.end_local_scans << " EndLocal scans ("
+              << prof.bound_rejections << " settled by the work bound), "
+              << prof.carried_drops << " carried drops, " << prof.eq4_entries
+              << " Eq. 4 entries filled\n";
   }
 
   if (cli.get_bool("gantt"))
@@ -354,7 +358,8 @@ int main(int argc, char** argv) {
         .describe("profile",
                   "print the per-phase wall-time breakdown after the run "
                   "(single mode): Algorithm 1, event dispatch, probe scans "
-                  "+ heap work, commits")
+                  "+ heap work, commits, then the EndLocal and Eq. 4 work "
+                  "counters")
         .describe("gantt", "print the allocation Gantt chart (single mode)")
         .describe("timeline-csv", "write the allocation timeline CSV")
         .describe("trace-out", "record the fault trace to this file")
